@@ -10,10 +10,9 @@ from .errors import (AbmodError, ADegreeExceeded, BadAlpha, DuplicateName,
                      NotAUnit, NotGeometric, NotNormal, NotRegular,
                      ParseError, PrecisionExhausted, UnknownName,
                      ValidationFailed)
-from .series import (DEFAULT_PREC, Rat, TruncSeries, rat, rat_str,
-                     series_derivative, series_invert, series_mul)
+from .series import DEFAULT_PREC, TruncSeries, rat, rat_str
 from .ratpoly import RationalPolynomial
-from .operators import AbOperator, op_mul, op_normalize, op_to_left_form
+from .operators import AbOperator, op_normalize
 from .modules import (AbModule, ModuleElement, build_xi_tensor, direct_sum,
                       module_e_lambda, module_from_matrix,
                       module_from_left_form, xi_module)

@@ -14,10 +14,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NoEmbeddingFound, PrecisionExhausted
+from .errors import (AbmodError, HostMismatch, NoEmbeddingFound,
+                     PrecisionExhausted)
 from .lattices import _reduce_vectors, lattice_reduce, sub_module_structure
 from .linsolve import ParamSolver, form_add, form_scale
-from .modules import AbModule, ModuleElement, build_xi_tensor, module_from_matrix
+from .modules import (AbModule, ModuleElement, build_xi_tensor,
+                      module_from_matrix, smat_mul, smat_vec)
 from .ratpoly import RationalPolynomial
 from .saturation import bernstein_polynomial, require_geometric, saturate
 from .decomposition import class_mod_z, semisimple_part
@@ -107,15 +109,9 @@ class Embedding:
 
     def apply(self, x: ModuleElement) -> ModuleElement:
         if x.host is not self.source:
-            raise ValueError("element does not live in the embedding source")
-        cap = self.target.prec
-        out = []
-        for i in range(self.target.rank):
-            acc = TruncSeries.zero(cap)
-            for j, c in enumerate(x.coords):
-                acc = acc + self.matrix[i][j].mul_sharp(c, cap=cap)
-            out.append(acc)
-        return self.target.element(out)
+            raise HostMismatch("element does not live in the embedding source")
+        return self.target.element(
+            smat_vec(self.matrix, x.coords, self.target.prec))
 
     def check_equivariance(self) -> bool:
         for j in range(self.source.rank):
@@ -196,7 +192,7 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0,
         try:
             s1, _ = semisimple_part(src)
             vmin = max(1, s1.rank)
-        except Exception:  # noqa: BLE001 - fall back to the worst case
+        except AbmodError:  # fall back to the worst case
             vmin = 1
         dim_candidates = list(range(vmin, k + 1)) or [1]
     depth_candidates = [depth] if depth is not None else list(range(k))
@@ -266,18 +262,7 @@ def _image_bernstein(emb: Embedding) -> RationalPolynomial:
 
 def _compose_with_inclusion(module: AbModule, sat, emb: Embedding) -> Embedding:
     """Pull an embedding of the saturation back to the original module."""
-    cap = emb.target.prec
-    cols = []
-    for j in range(module.rank):
-        col = []
-        for t in range(emb.target.rank):
-            acc = TruncSeries.zero(cap)
-            for i in range(emb.source.rank):
-                acc = acc + emb.matrix[t][i].mul_sharp(sat.inclusion[i][j], cap=cap)
-            col.append(acc)
-        cols.append(col)
-    matrix = tuple(tuple(cols[j][t] for j in range(module.rank))
-                   for t in range(emb.target.rank))
+    matrix = smat_mul(emb.matrix, sat.inclusion, emb.target.prec)
     return Embedding(source=module, target=emb.target, matrix=matrix,
                      classes=emb.classes, depth=emb.depth, dim_v=emb.dim_v,
                      diagnostics=emb.diagnostics)
@@ -382,11 +367,6 @@ class LogPowerFunction:
                 out = out.add(cur.scale(c))
             cur = cur.integrate()
         return out
-
-    def truncate_order(self, order: int) -> "LogPowerFunction":
-        return LogPowerFunction(
-            {k: v for k, v in self.terms.items() if k[1] <= order},
-            self.order_cap)
 
     def term_list(self, order=None):
         keys = sorted(self.terms)

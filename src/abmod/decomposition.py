@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotGeometric, ValidationFailed
+from .errors import NotAStable, NotGeometric, ValidationFailed
 from .lattices import (Lattice, Quotient, full_lattice, is_normal,
                        lattice_reduce, normal_hull, quotient_module,
                        sub_module_structure, kernel_of_series_map,
@@ -115,7 +115,7 @@ def semisimple_part(module: AbModule, max_shift=None, _roots=None):
     hull = normal_hull(lattice_reduce(elems, host=module))
     try:
         sub = sub_module_structure(hull)
-    except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+    except NotAStable as exc:
         diagnostics.append(f"eigen-span hull is not a-stable: {exc}")
         return hull, diagnostics
     if hull.rank < module.rank:
@@ -325,8 +325,8 @@ def primitive_split(module: AbModule, classes, mode="minimal",
     cinv = qinverse(cmat)
 
     p = sat.module.prec
-    a_t = smat_mul(smat_mul(smat_from_const(cinv, p), sat.module.a_matrix),
-                   smat_from_const(cmat, p), cap=p)
+    a_t = smat_mul(smat_mul(smat_from_const(cinv, p), sat.module.a_matrix, p),
+                   smat_from_const(cmat, p), p)
     coeff = [
         tuple(tuple(a_t[i][j].coeffs[m] if m < a_t[i][j].prec else Fraction(0)
                     for j in range(k)) for i in range(k))
@@ -391,19 +391,11 @@ def primitive_split(module: AbModule, classes, mode="minimal",
         tuple(TruncSeries([h_coeffs[n][i][j] if n < len(h_coeffs) else Fraction(0)
                            for n in range(p)], p) for j in range(k))
         for i in range(k))
-    t_mat = smat_mul(smat_from_const(cmat, p), h_mat, cap=p)
+    t_mat = smat_mul(smat_from_const(cmat, p), h_mat, p)
     t_inv = smat_inverse(t_mat)
 
     # rows of T^-1 . inclusion restricted to the in-class block
-    rows = []
-    for i in range(k_in):
-        row = []
-        for j in range(module.rank):
-            acc = TruncSeries.zero(p)
-            for t in range(k):
-                acc = acc + t_inv[i][t].mul_sharp(sat.inclusion[t][j], cap=p)
-            row.append(acc)
-        rows.append(row)
+    rows = smat_mul(t_inv[:k_in], sat.inclusion, p)
     kernel = kernel_of_series_map(rows, module.rank, module.prec)
     e_not = lattice_reduce([module.element(v) for v in kernel], host=module)
     if not is_normal(e_not):

@@ -16,7 +16,7 @@ valuation-aware precision tracking from ever inventing coefficients.
 from __future__ import annotations
 
 from .errors import (HostMismatch, NotAStable, NotNormal, PrecisionExhausted)
-from .modules import AbModule, ModuleElement
+from .modules import AbModule, ModuleElement, smat_vec
 from .series import TruncSeries
 
 
@@ -41,9 +41,6 @@ class Lattice:
 
     def is_zero(self) -> bool:
         return not self.basis
-
-    def pivot_valuations(self):
-        return tuple(v for _, v in self.pivots)
 
     def member(self, x) -> bool:
         return self.member_coords(x) is not None
@@ -90,11 +87,9 @@ class Lattice:
         c = self.member_coords(x)
         if c is None:
             return None
-        out = [TruncSeries.zero(self.host.prec) for _ in range(self.ngens)]
-        for cj, trk in zip(c, self.tracks):
-            for i in range(self.ngens):
-                out[i] = out[i] + cj.mul_sharp(trk[i], cap=self.host.prec)
-        return out
+        by_gen = [tuple(trk[i] for trk in self.tracks)
+                  for i in range(self.ngens)]
+        return list(smat_vec(by_gen, c, self.host.prec))
 
     def __repr__(self):
         return f"Lattice(rank={self.rank}, pivots={self.pivots})"
@@ -230,13 +225,6 @@ def lattice_reduce(gens, host=None, track=False) -> Lattice:
     return Lattice(host, basis, pivots, out_tracks, len(vectors))
 
 
-def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    if a.host is not b.host:
-        raise HostMismatch("lattices in different modules")
-    return lattice_reduce(list(a.basis_elements()) + list(b.basis_elements()),
-                          host=a.host)
-
-
 def full_lattice(host: AbModule) -> Lattice:
     return lattice_reduce(host.basis_elements(), host=host)
 
@@ -351,13 +339,6 @@ class SubModule:
             return None
         return self.module.element(c)
 
-    def to_host(self, y: ModuleElement) -> ModuleElement:
-        host = self.lattice.host
-        acc = host.zero()
-        for cj, g in zip(y.coords, self.lattice.basis_elements()):
-            acc = acc + g.mul_series(cj)
-        return acc
-
 
 def sub_module_structure(lat: Lattice) -> SubModule:
     """Module structure on a lattice basis; requires a-stability."""
@@ -444,9 +425,6 @@ def kernel_of_series_map(rows, ncols, prec):
     tracked relations of the column reduction of M.
     """
     dim = len(rows)
-    if dim == 0:
-        return [tuple(TruncSeries.constant(int(i == j), prec)
-                      for j in range(ncols)) for i in range(ncols)]
     columns = [tuple(rows[i][j] for i in range(dim)) for j in range(ncols)]
     tracks = [tuple(TruncSeries.constant(int(i == j), prec)
                     for j in range(ncols)) for i in range(ncols)]

@@ -43,9 +43,6 @@ class ParamSolver:
         self._tags[p] = tag
         return p
 
-    def new_params(self, n, tag=0):
-        return [self.new_param(tag) for _ in range(n)]
-
     def tag(self, p: int) -> int:
         return self._tags[p]
 
@@ -90,9 +87,6 @@ class ParamSolver:
                     g[r] = v
                 else:
                     g.pop(r, None)
-
-    def is_eliminated(self, p: int) -> bool:
-        return p in self._subs
 
     def live_params(self, forms) -> list:
         seen = set()

@@ -156,16 +156,10 @@ class ModuleElement:
                              tuple(s.mul_sharp(x, cap=cap) for x in self.coords))
 
     def act_a(self) -> "ModuleElement":
-        host = self.host
-        cap = host.prec
-        out = []
-        for i in range(host.rank):
-            acc = TruncSeries.zero(cap)
-            for j in range(host.rank):
-                acc = acc + host.a_matrix[i][j].mul_sharp(self.coords[j], cap=cap)
-            acc = acc + self.coords[i].twist(cap=cap)
-            out.append(acc)
-        return ModuleElement(host, tuple(out))
+        cap = self.host.prec
+        images = smat_vec(self.host.a_matrix, self.coords, cap)
+        return ModuleElement(self.host, tuple(
+            s + x.twist(cap=cap) for s, x in zip(images, self.coords)))
 
     def act_b(self) -> "ModuleElement":
         cap = self.host.prec
@@ -325,31 +319,27 @@ def _block_diag(mats, prec):
     return out
 
 
-# -- series matrix utilities (used by saturation / decomposition) ------
+# -- series matrix utilities (one product kernel for every layer) -----
 
-def smat_mul(a, b, cap=None):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
+def smat_vec(mat, vec, cap):
+    """mat . vec for a series matrix and vector, at precision <= cap."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                term = a[i][t].mul_sharp(b[t][j], cap=cap)
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(tuple(row))
+    for row in mat:
+        acc = TruncSeries.zero(cap)
+        for e, x in zip(row, vec):
+            acc = acc + e.mul_sharp(x, cap=cap)
+        out.append(acc)
     return tuple(out)
+
+
+def smat_mul(a, b, cap):
+    """a . b for series matrices, one smat_vec per column of b."""
+    cols = [smat_vec(a, col, cap) for col in zip(*b)]
+    return tuple(tuple(col[i] for col in cols) for i in range(len(a)))
 
 
 def smat_from_const(m, prec):
     return tuple(tuple(TruncSeries.constant(c, prec) for c in row) for row in m)
-
-
-def smat_coefficient(mat, n):
-    """The n-th coefficient matrix; raises if beyond known precision."""
-    return tuple(tuple(e.coefficient(n) for e in row) for row in mat)
 
 
 def smat_inverse(mat, prec=None):

@@ -69,24 +69,7 @@ class AbOperator:
         return cls({q: (c,) for q, c in enumerate(s.coeffs) if c},
                    s.prec, a_bound)
 
-    @classmethod
-    def from_left_form(cls, pairs, prec=DEFAULT_PREC, a_bound=DEFAULT_A_BOUND):
-        """Build sum of T_m(b) * a^m from (m, series) pairs."""
-        terms = {}
-        for m, t in pairs:
-            for q, c in enumerate(t.coeffs):
-                if c:
-                    poly = terms.setdefault(q, [Fraction(0)] * (m + 1))
-                    if len(poly) <= m:
-                        poly.extend([Fraction(0)] * (m + 1 - len(poly)))
-                    poly[m] += c
-            prec = min(prec, t.prec)
-        return cls(terms, prec, a_bound)
-
     # -- algebra --------------------------------------------------------
-
-    def a_degree(self) -> int:
-        return max((pdeg(p) for p in self.terms.values()), default=-1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -257,11 +240,3 @@ def op_normalize(word, prec=DEFAULT_PREC, a_bound=DEFAULT_A_BOUND) -> AbOperator
             raise TypeError(f"unknown generator {letter!r}")
         acc = acc * op
     return acc
-
-
-def op_mul(x: AbOperator, y: AbOperator) -> AbOperator:
-    return x * y
-
-
-def op_to_left_form(x: AbOperator):
-    return x.to_left_form()

@@ -12,16 +12,8 @@ from fractions import Fraction
 from .series import rat
 
 
-def qmat(rows):
-    return tuple(tuple(rat(c) for c in row) for row in rows)
-
-
 def identity(n):
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def zeros(n, m):
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
 
 
 def mat_mul(a, b):
@@ -38,10 +30,6 @@ def mat_vec(a, v):
                  for i in range(len(a)))
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_scale(a, c):
     c = rat(c)
     return tuple(tuple(c * x for x in row) for row in a)
@@ -49,12 +37,6 @@ def mat_scale(a, c):
 
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def transpose(a):
-    if not a:
-        return ()
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
 def trace(a):

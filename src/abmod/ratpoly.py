@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qlinalg import mat_mul, mat_vec, identity, mat_scale, mat_sub, trace, rref
-from .series import rat, rat_str
+from .series import convolve, rat, rat_str
 
 
 # -- raw polynomial helpers (ascending coefficients) ------------------
@@ -40,19 +40,9 @@ def pscale(p, c):
     return pnorm([c * x for x in p])
 
 
-def psub(p, q):
-    return padd(p, pscale(q, -1))
-
-
 def pmul(p, q):
     p, q = pnorm(p), pnorm(q)
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return pnorm(out)
+    return pnorm(convolve(p, q, len(p) + len(q) - 1))
 
 
 def pdivmod(p, q):
@@ -306,12 +296,6 @@ class RationalPolynomial:
 
     def is_split(self) -> bool:
         return self.unsplit is None
-
-    def root_multiset(self):
-        out = []
-        for v, m in self.roots:
-            out.extend([v] * m)
-        return sorted(out)
 
     def shift(self, delta) -> "RationalPolynomial":
         """The polynomial x -> self(x - delta); roots move up by delta."""

@@ -14,11 +14,11 @@ they have a simple pole by construction.
 
 from __future__ import annotations
 
-from .errors import NotGeometric, NotRegular, PrecisionExhausted
+from .errors import HostMismatch, NotGeometric, NotRegular, PrecisionExhausted
 from .lattices import Lattice, full_lattice, lattice_reduce
-from .modules import AbModule, ModuleElement
+from .modules import AbModule, ModuleElement, smat_vec
 from .ratpoly import RationalPolynomial
-from .series import TruncSeries, rat_str
+from .series import rat_str
 
 
 class SaturationResult:
@@ -35,14 +35,11 @@ class SaturationResult:
 
     def include(self, x: ModuleElement) -> ModuleElement:
         """Image of an element of E inside E#."""
-        out = []
-        cap = self.module.prec
-        for i in range(self.module.rank):
-            acc = TruncSeries.zero(cap)
-            for j, c in enumerate(x.coords):
-                acc = acc + self.inclusion[i][j].mul_sharp(c, cap=cap)
-            out.append(acc)
-        return self.module.element(out)
+        if x.host is not self.source:
+            raise HostMismatch(
+                "element does not live in the saturation's source")
+        return self.module.element(
+            smat_vec(self.inclusion, x.coords, self.module.prec))
 
 
 def _shifted_basis_images(lat: Lattice, m: int):

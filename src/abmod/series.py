@@ -3,9 +3,13 @@
 Coefficients are ``fractions.Fraction`` throughout.  A :class:`TruncSeries`
 stores the coefficients of b^0 .. b^(prec-1); everything from b^prec on is
 unknown.  Public ring operations return the minimum precision of their
-inputs and equality means agreement up to the shared precision.  A handful
-of internal helpers (``mul_sharp``, ``shift``) exploit valuations to keep
-more precision; the lattice and module layers depend on that.
+inputs and equality means agreement up to the shared precision.
+
+:meth:`TruncSeries.mul_sharp` is the one series product: it keeps the
+precision min(p1+v2, p2+v1) that the valuations allow, optionally capped,
+and ``x * y`` is ``mul_sharp`` capped at min(p1, p2).  Its coefficients
+come from :func:`convolve`, which polynomial products share.  ``shift``
+also exploits valuations; the lattice and module layers depend on both.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from fractions import Fraction
 from .errors import NotAUnit, PrecisionExhausted
 
 DEFAULT_PREC = 32
-
-Rat = Fraction
 
 
 def rat(x) -> Fraction:
@@ -36,6 +38,17 @@ def rat_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def convolve(x, y, n: int) -> list:
+    """The first n coefficients of the product of two coefficient sequences."""
+    out = [Fraction(0)] * n
+    for i, ci in enumerate(x[:n]):
+        if ci:
+            for j, cj in enumerate(y[:n - i]):
+                if cj:
+                    out[i + j] += ci * cj
+    return out
 
 
 class TruncSeries:
@@ -75,11 +88,6 @@ class TruncSeries:
         coeffs = [0] * v + [1]
         return cls(coeffs, prec)
 
-    @classmethod
-    def from_poly(cls, coeffs, prec=DEFAULT_PREC):
-        """Series from a polynomial coefficient list, at full precision."""
-        return cls(coeffs, prec)
-
     # -- structure queries -------------------------------------------
 
     def known_valuation(self):
@@ -105,16 +113,6 @@ class TruncSeries:
             raise PrecisionExhausted(
                 f"cannot decide whether {what} vanishes: no known coefficients")
         return self.is_zero_known()
-
-    def constant_term(self) -> Fraction:
-        if self.prec < 1:
-            raise PrecisionExhausted("constant term unknown at precision 0")
-        return self.coeffs[0]
-
-    def coefficient(self, n: int) -> Fraction:
-        if n >= self.prec:
-            raise PrecisionExhausted(f"coefficient {n} beyond precision {self.prec}")
-        return self.coeffs[n]
 
     # -- ring operations (public rule: min precision) -----------------
 
@@ -157,17 +155,7 @@ class TruncSeries:
             return self.scale(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        p = min(self.prec, other.prec)
-        out = [Fraction(0)] * p
-        for i, ci in enumerate(self.coeffs):
-            if i >= p:
-                break
-            if not ci:
-                continue
-            for j, cj in enumerate(other.coeffs[:p - i]):
-                if cj:
-                    out[i + j] += ci * cj
-        return TruncSeries(out, p)
+        return self.mul_sharp(other, cap=min(self.prec, other.prec))
 
     __rmul__ = __mul__
 
@@ -186,16 +174,7 @@ class TruncSeries:
         p = min(self.prec + v2, other.prec + v1)
         if cap is not None:
             p = min(p, cap)
-        out = [Fraction(0)] * p
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            if i >= p:
-                break
-            for j, cj in enumerate(other.coeffs[:p - i]):
-                if cj:
-                    out[i + j] += ci * cj
-        return TruncSeries(out, p)
+        return TruncSeries(convolve(self.coeffs, other.coeffs, p), p)
 
     def shift(self, k: int, cap=None) -> "TruncSeries":
         """Multiply by b^k exactly; precision grows by k (optionally capped)."""
@@ -230,7 +209,7 @@ class TruncSeries:
         for n in range(1, p):
             s = Fraction(0)
             for i in range(1, n + 1):
-                if i < len(self.coeffs) and self.coeffs[i]:
+                if self.coeffs[i]:
                     s += self.coeffs[i] * out[n - i]
             out.append(-s / c0)
         return TruncSeries(out, p)
@@ -302,14 +281,3 @@ class TruncSeries:
     def from_json(cls, obj):
         return cls([rat(c) for c in obj["coeffs"]], obj["prec"])
 
-
-def series_mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
-    return x * y
-
-
-def series_invert(x: TruncSeries) -> TruncSeries:
-    return x.invert()
-
-
-def series_derivative(x: TruncSeries) -> TruncSeries:
-    return x.derivative()

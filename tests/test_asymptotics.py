@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from abmod import (DiffSystem, NoEmbeddingFound, TruncSeries,
-                   bernstein_polynomial, embed_into_xi,
+from abmod import (DiffSystem, HostMismatch, NoEmbeddingFound, NotAStable,
+                   TruncSeries, bernstein_polynomial, embed_into_xi,
                    from_differential_system, module_e_lambda,
                    realize_expansion, singular_term_report, xi_module)
+from abmod import asymptotics
 from abmod.asymptotics import LogPowerFunction, realize_function
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
 from abmod.modules import direct_sum
@@ -102,6 +103,27 @@ class TestEmbedding:
     def test_flat_embedding_fails_for_log_modules(self):
         with pytest.raises(NoEmbeddingFound):
             embed_into_xi(xi_module(F(1, 2), 1, P), depth=0)
+
+    def test_apply_rejects_foreign_elements(self):
+        emb = embed_into_xi(module_e_lambda(F(3, 2), P))
+        with pytest.raises(HostMismatch):
+            emb.apply(module_e_lambda(F(3, 2), P).basis(0))
+
+    def test_search_start_falls_back_when_part_fails(self, monkeypatch):
+        def unstable(module):
+            raise NotAStable("forced")
+        monkeypatch.setattr(asymptotics, "semisimple_part", unstable)
+        line = module_e_lambda(F(1, 2), P)
+        emb = embed_into_xi(direct_sum(line, line))
+        assert emb.depth == 0 and emb.dim_v == 2
+        assert emb.check_equivariance()
+
+    def test_search_does_not_hide_other_errors(self, monkeypatch):
+        def broken(module):
+            raise TypeError("a bug, not a fallback")
+        monkeypatch.setattr(asymptotics, "semisimple_part", broken)
+        with pytest.raises(TypeError):
+            embed_into_xi(module_e_lambda(F(3, 2), P))
 
     def test_image_generates_same_bernstein(self):
         fr = fresco_from_presentation(

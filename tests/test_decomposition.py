@@ -5,11 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from abmod import (NotGeometric, TruncSeries, bernstein_polynomial,
-                   class_mod_z, eigen_elements,
+from abmod import (NotAStable, NotGeometric, TruncSeries,
+                   bernstein_polynomial, class_mod_z, eigen_elements,
                    higher_bernstein, is_semisimple, module_e_lambda,
                    module_from_matrix, primitive_split, semisimple_filtration,
                    semisimple_part, xi_module)
+from abmod import decomposition
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
 from abmod.lattices import is_normal, sub_module_structure
 from abmod.modules import direct_sum
@@ -78,6 +79,21 @@ class TestSemisimplePart:
         assert part.member(y)
         sub = sub_module_structure(part)
         assert bernstein_polynomial(sub.module).roots == ((F(-3, 2), 1),)
+
+    def test_unstable_hull_is_a_diagnostic(self, monkeypatch):
+        def unstable(lat):
+            raise NotAStable("forced")
+        monkeypatch.setattr(decomposition, "sub_module_structure", unstable)
+        part, diags = semisimple_part(xi_module(F(1, 2), 1, P))
+        assert part.rank == 1
+        assert diags == ["eigen-span hull is not a-stable: forced"]
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(lat):
+            raise TypeError("a bug, not a diagnostic")
+        monkeypatch.setattr(decomposition, "sub_module_structure", broken)
+        with pytest.raises(TypeError):
+            semisimple_part(xi_module(F(1, 2), 1, P))
 
 
 class TestIsSemisimple:

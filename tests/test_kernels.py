@@ -1,0 +1,138 @@
+"""Property tests of the product kernels against naive double sums.
+
+Series are drawn at precision 0..12 with a planted valuation: every
+coefficient below it is zero and the one at it is not, so the precision
+each product should reach is known without asking the code under test.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from abmod import TruncSeries
+from abmod.modules import smat_mul, smat_vec
+from abmod.ratpoly import pmul, pnorm
+from abmod.series import convolve
+
+MAX_PREC = 12
+PROPS = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=40)
+
+coeff = st.sampled_from([F(n, d) for n in range(-4, 5) for d in (1, 2, 3, 5)])
+nonzero = coeff.filter(bool)
+
+
+@st.composite
+def planted(draw):
+    """(series, valuation); the valuation equals prec for a known zero."""
+    prec = draw(st.integers(0, MAX_PREC))
+    v = draw(st.integers(0, prec))
+    coeffs = [F(0)] * v
+    if v < prec:
+        coeffs.append(draw(nonzero))
+        coeffs += draw(st.lists(coeff, min_size=prec - v - 1,
+                                max_size=prec - v - 1))
+    return TruncSeries(coeffs, prec), v
+
+
+def naive(x, y, n):
+    """First n coefficients of the product, as a double sum."""
+    return [sum((x[i] * y[k - i] for i in range(k + 1)
+                 if i < len(x) and k - i < len(y)), F(0))
+            for k in range(n)]
+
+
+def sharp_reference(x, y, cap):
+    """(coefficients, precision) of the valuation-aware product."""
+    (sx, vx), (sy, vy) = x, y
+    p = min(sx.prec + vy, sy.prec + vx, cap)
+    return naive(sx.coeffs, sy.coeffs, p), p
+
+
+def sum_reference(terms, cap):
+    """Entrywise sum of (coefficients, precision) pairs, from zero at cap."""
+    p = min([cap] + [q for _, q in terms])
+    return [sum((c[k] for c, _ in terms), F(0)) for k in range(p)], p
+
+
+def as_pair(s):
+    return list(s.coeffs), s.prec
+
+
+@PROPS
+@given(st.lists(coeff, max_size=MAX_PREC), st.lists(coeff, max_size=MAX_PREC),
+       st.integers(0, 2 * MAX_PREC))
+def test_convolve_matches_double_sum(x, y, n):
+    assert convolve(x, y, n) == naive(x, y, n)
+
+
+@PROPS
+@given(planted(), planted())
+def test_star_is_mul_sharp_capped_at_min_precision(x, y):
+    (sx, _), (sy, _) = x, y
+    p = min(sx.prec, sy.prec)
+    prod = sx * sy
+    assert prod.prec == p
+    assert list(prod.coeffs) == naive(sx.coeffs, sy.coeffs, p)
+    assert prod.coeffs == sx.mul_sharp(sy, cap=p).coeffs
+    assert prod.coeffs == sx.mul_sharp(sy).truncate(p).coeffs
+
+
+@PROPS
+@given(planted(), planted(), st.integers(0, 2 * MAX_PREC))
+def test_mul_sharp_precision_follows_valuations(x, y, cap):
+    out = x[0].mul_sharp(y[0], cap=cap)
+    assert as_pair(out) == sharp_reference(x, y, cap)
+
+
+@st.composite
+def mat_and_vec(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    mat = [[draw(planted()) for _ in range(cols)] for _ in range(rows)]
+    vec = [draw(planted()) for _ in range(cols)]
+    return mat, vec, draw(st.integers(0, MAX_PREC))
+
+
+@PROPS
+@given(mat_and_vec())
+def test_smat_vec_matches_entrywise_sums(case):
+    mat, vec, cap = case
+    out = smat_vec([[s for s, _ in row] for row in mat],
+                   [s for s, _ in vec], cap)
+    assert len(out) == len(mat)
+    for got, row in zip(out, mat):
+        expect = sum_reference(
+            [sharp_reference(e, x, cap) for e, x in zip(row, vec)], cap)
+        assert as_pair(got) == expect
+
+
+@st.composite
+def two_mats(draw):
+    n, k, m = (draw(st.integers(0, 3)) for _ in range(3))
+    a = [[draw(planted()) for _ in range(k)] for _ in range(n)]
+    b = [[draw(planted()) for _ in range(m)] for _ in range(k)]
+    return a, b, draw(st.integers(0, MAX_PREC))
+
+
+@PROPS
+@given(two_mats())
+def test_smat_mul_matches_entrywise_sums(case):
+    a, b, cap = case
+    m = len(b[0]) if b else 0     # a matrix with no rows has no columns
+    out = smat_mul([[s for s, _ in row] for row in a],
+                   [[s for s, _ in row] for row in b], cap)
+    assert len(out) == len(a)
+    for i, row in enumerate(out):
+        assert len(row) == m
+        for j, got in enumerate(row):
+            expect = sum_reference(
+                [sharp_reference(a[i][t], b[t][j], cap)
+                 for t in range(len(b))], cap)
+            assert as_pair(got) == expect
+
+
+@PROPS
+@given(st.lists(coeff, min_size=1, max_size=8),
+       st.lists(coeff, min_size=1, max_size=8))
+def test_pmul_matches_polynomial_product(p, q):
+    assert pmul(p, q) == pnorm(naive(p, q, len(p) + len(q) - 1))

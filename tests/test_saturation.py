@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from abmod import (NotRegular, TruncSeries, bernstein_polynomial,
-                   build_xi_tensor, is_geometric, module_e_lambda,
+from abmod import (HostMismatch, NotRegular, TruncSeries,
+                   bernstein_polynomial, build_xi_tensor, is_geometric, module_e_lambda,
                    module_from_matrix, saturate, xi_module)
 from abmod.lattices import _reduce_vectors
 from abmod.modules import module_from_left_form
@@ -53,6 +53,13 @@ class TestSaturate:
             e = m.basis(j)
             assert sat.include(e.act_a()) == sat.include(e).act_a()
             assert sat.include(e.act_b()) == sat.include(e).act_b()
+
+    def test_include_rejects_foreign_elements(self):
+        sat = saturate(theme_module())
+        with pytest.raises(HostMismatch):
+            sat.include(theme_module().basis(0))
+        with pytest.raises(HostMismatch):
+            sat.include(module_e_lambda(F(1, 2), P).basis(0))
 
     def test_index_is_pure_b_power_per_direction(self):
         # elementary divisors of the inclusion are pure powers of b
