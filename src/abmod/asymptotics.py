@@ -18,11 +18,11 @@ from .errors import (AbmodError, HostMismatch, NoEmbeddingFound,
                      PrecisionExhausted)
 from .lattices import _reduce_vectors, lattice_reduce, sub_module_structure
 from .linsolve import ParamSolver, form_add, form_scale
-from .modules import (AbModule, ModuleElement, build_xi_tensor,
+from .modules import (AbModule, ModuleElement, build_xi_tensor, derived,
                       module_from_matrix, smat_mul, smat_vec)
 from .ratpoly import RationalPolynomial
 from .saturation import bernstein_polynomial, require_geometric, saturate
-from .decomposition import class_mod_z, semisimple_part
+from .decomposition import class_mod_z, higher_bernstein, semisimple_part
 from .series import DEFAULT_PREC, TruncSeries, rat, rat_str
 
 
@@ -168,8 +168,8 @@ def _series_matrix_rank(matrix, dim, prec) -> int:
     return len(basis)
 
 
-def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0,
-                  max_tries=40) -> Embedding:
+@derived
+def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0) -> Embedding:
     """Injective equivariant map into an expansion module.
 
     Classes come from the Bernstein roots mod Z; the log depth is searched
@@ -228,7 +228,7 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0,
                 candidates.append({q: Fraction(1)})
             candidates.append({q: Fraction(i + 1)
                                for i, q in enumerate(live)})
-            for _ in range(max_tries):
+            for _ in range(40):
                 candidates.append({q: Fraction(rng.randint(-5, 5))
                                    for q in live})
             for assign in candidates:
@@ -470,8 +470,6 @@ class SingularTermReport:
 
 
 def singular_term_report(fresco_or_module) -> SingularTermReport:
-    from .decomposition import higher_bernstein
-
     hb = higher_bernstein(fresco_or_module)
     classes = []
     diagnostics = list(hb.diagnostics)

@@ -22,7 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default series precision for the session")
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.add_argument("--max-sat-iter", type=int, default=None,
-                   help="cap on saturation steps (default rank * precision)")
+                   help="cap on saturation steps, for every show action "
+                        "(default rank * precision)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized parameter searches")
     p.add_argument("--check", action="store_true",

@@ -20,8 +20,9 @@ from .lattices import (Lattice, Quotient, full_lattice, is_normal,
                        sub_module_structure, kernel_of_series_map,
                        zero_lattice)
 from .linsolve import ParamSolver, form_add, form_scale
-from .modules import AbModule, smat_from_const, smat_mul, smat_inverse
-from .qlinalg import identity, mat_mul, mat_sub, mat_scale, nullspace, solve as qsolve
+from .modules import AbModule, derived, smat_from_const, smat_mul, smat_inverse
+from .qlinalg import (identity, inverse as qinverse, mat_mul, mat_sub,
+                      mat_scale, nullspace, solve as qsolve)
 from .ratpoly import RationalPolynomial
 from .saturation import bernstein_polynomial, require_geometric, saturate
 from .series import TruncSeries, rat, rat_str
@@ -36,18 +37,17 @@ def class_mod_z(x) -> Fraction:
 
 # -- eigen elements -----------------------------------------------------
 
-def eigen_elements(module: AbModule, lam, max_valuation=None) -> Lattice:
+def eigen_elements(module: AbModule, lam) -> Lattice:
     """Solution lattice of (a - lambda b) x = 0, order by order in b.
 
-    Solutions of the truncated system whose valuation exceeds
-    *max_valuation* (default prec // 2) are discarded: their defining
-    constraints lie beyond the truncation order, so they are
-    indistinguishable from zero and carry no structure.
+    Solutions of the truncated system whose valuation exceeds prec // 2
+    are discarded: their defining constraints lie beyond the truncation
+    order, so they are indistinguishable from zero and carry no structure.
     """
     lam = rat(lam)
     k = module.rank
     p = module.prec
-    cutoff = max_valuation if max_valuation is not None else p // 2
+    cutoff = p // 2
     if k == 0 or p < 2:
         return zero_lattice(module)
     mats = [
@@ -86,23 +86,21 @@ def eigen_elements(module: AbModule, lam, max_valuation=None) -> Lattice:
 
 # -- semi-simple part and filtration -------------------------------------
 
-def semisimple_part(module: AbModule, max_shift=None, _roots=None):
+@derived
+def semisimple_part(module: AbModule):
     """Normal hull of the span of eigen-elements over all candidate lambdas.
 
     Returns (lattice, diagnostics).  Candidates run over negated Bernstein
-    roots shifted by 0..max_shift (default prec // 2).
+    roots shifted by 0..prec // 2.
     """
     diagnostics = []
     if module.rank == 0:
         return full_lattice(module), diagnostics
-    if _roots is None:
-        cert = require_geometric(module)
-        _roots = [v for v, _ in cert["roots"]]
-    mmax = max_shift if max_shift is not None else module.prec // 2
+    roots = [v for v, _ in require_geometric(module)["roots"]]
     lambdas = []
-    for r in sorted(set(_roots)):
+    for r in sorted(set(roots)):
         base = -r
-        for m in range(mmax + 1):
+        for m in range(module.prec // 2 + 1):
             if base + m not in lambdas:
                 lambdas.append(base + m)
     elems = []
@@ -119,18 +117,15 @@ def semisimple_part(module: AbModule, max_shift=None, _roots=None):
         diagnostics.append(f"eigen-span hull is not a-stable: {exc}")
         return hull, diagnostics
     if hull.rank < module.rank:
-        ok, _ = _is_semisimple_inner(sub.module)
-        if not ok:
+        if not _is_semisimple_inner(sub.module):
             diagnostics.append(
                 "eigen-span hull failed its own semi-simplicity validation")
     return hull, diagnostics
 
 
-def _is_semisimple_inner(module: AbModule):
-    if module.rank == 0:
-        return True, []
-    part, diags = semisimple_part(module)
-    return part.rank == module.rank and is_normal(part), diags
+def _is_semisimple_inner(module: AbModule) -> bool:
+    part, _ = semisimple_part(module)
+    return part.rank == module.rank and is_normal(part)
 
 
 def is_semisimple(module: AbModule, cross_check=False) -> bool:
@@ -139,7 +134,7 @@ def is_semisimple(module: AbModule, cross_check=False) -> bool:
     With cross_check=True the answer is compared against the depth-zero
     embedding search; a mismatch raises ValidationFailed.
     """
-    ok, _ = _is_semisimple_inner(module)
+    ok = _is_semisimple_inner(module)
     if cross_check and module.rank > 0:
         from .asymptotics import embed_into_xi
         from .errors import NoEmbeddingFound
@@ -186,13 +181,13 @@ class Filtration:
         }
 
 
-def semisimple_filtration(module: AbModule, max_shift=None) -> Filtration:
+@derived
+def semisimple_filtration(module: AbModule) -> Filtration:
     """S_1 = semi-simple part; S_{j+1} = preimage of the part of E/S_j."""
     diagnostics = []
     if module.rank == 0:
         return Filtration(module, (), diagnostics)
-    require_geometric(module)
-    part, diags = semisimple_part(module, max_shift=max_shift)
+    part, diags = semisimple_part(module)
     diagnostics.extend(diags)
     if part.is_zero():
         raise ValidationFailed(
@@ -266,8 +261,7 @@ def _sylvester_solve(p, q, shift, rhs):
     return tuple(tuple(sol[i * nq + j] for j in range(nq)) for i in range(np_))
 
 
-def primitive_split(module: AbModule, classes, mode="minimal",
-                    max_iter=None) -> PrimitiveSplit:
+def primitive_split(module: AbModule, classes, mode="minimal") -> PrimitiveSplit:
     """Split off the largest normal sub-module with no Bernstein root in
     the given classes mod Z; the quotient is primitive for those classes.
 
@@ -277,35 +271,30 @@ def primitive_split(module: AbModule, classes, mode="minimal",
     classes stay disjoint under integer shifts), and the off-class block is
     pulled back to the module.
     """
+    return _primitive_split(
+        module, tuple(sorted({class_mod_z(c) for c in classes})), mode)
+
+
+@derived
+def _primitive_split(module: AbModule, cls_set, mode) -> PrimitiveSplit:
     diagnostics = []
-    cls_set = tuple(sorted({class_mod_z(c) for c in classes}))
     if module.rank == 0:
         return PrimitiveSplit(module, cls_set, full_lattice(module), None,
                               diagnostics)
-    cert = require_geometric(module, max_iter=max_iter)
-    b_poly = bernstein_polynomial(module, mode=mode, max_iter=max_iter)
-    sat = saturate(module, max_iter=max_iter)
+    cert = require_geometric(module)
+    sat = saturate(module)
     res = sat.module.residue()
     k = len(res)
-    eigvals = sorted({-v for v, _ in
-                      RationalPolynomial.from_matrix(
-                          tuple(tuple(-c for c in row) for row in res),
-                          mode="minimal").roots})
+    eigvals = sorted({-v for v, _ in cert["roots"]})
     in_vals = [nu for nu in eigvals if class_mod_z(nu) in cls_set]
     out_vals = [nu for nu in eigvals if class_mod_z(nu) not in cls_set]
 
     if not out_vals:
-        split = PrimitiveSplit(module, cls_set, zero_lattice(module),
-                               quotient_module(module, zero_lattice(module)),
-                               diagnostics)
-        _check_part_bernstein(split, b_poly, cls_set, mode, diagnostics, max_iter)
-        return split
+        return _checked_split(module, cls_set, zero_lattice(module), mode,
+                              diagnostics)
     if not in_vals:
-        split = PrimitiveSplit(module, cls_set, full_lattice(module),
-                               quotient_module(module, full_lattice(module)),
-                               diagnostics)
-        _check_part_bernstein(split, b_poly, cls_set, mode, diagnostics, max_iter)
-        return split
+        return _checked_split(module, cls_set, full_lattice(module), mode,
+                              diagnostics)
 
     def gen_eigenspace(vals):
         m = identity(k)
@@ -321,7 +310,6 @@ def primitive_split(module: AbModule, classes, mode="minimal",
         raise ValidationFailed("generalized eigenspaces do not fill the module")
     cmat = tuple(tuple(col[i] for col in (list(u_in) + list(u_out)))
                  for i in range(k))
-    from .qlinalg import inverse as qinverse
     cinv = qinverse(cmat)
 
     p = sat.module.prec
@@ -400,25 +388,25 @@ def primitive_split(module: AbModule, classes, mode="minimal",
     e_not = lattice_reduce([module.element(v) for v in kernel], host=module)
     if not is_normal(e_not):
         diagnostics.append("off-class kernel lattice is not normal")
-    quot = quotient_module(module, e_not)
-    split = PrimitiveSplit(module, cls_set, e_not, quot, diagnostics)
-    _check_part_bernstein(split, b_poly, cls_set, mode, diagnostics, max_iter)
-    return split
+    return _checked_split(module, cls_set, e_not, mode, diagnostics)
 
 
-def _check_part_bernstein(split, b_poly, cls_set, mode, diagnostics, max_iter):
-    """The part's Bernstein polynomial must equal the class part of the
-    module's Bernstein polynomial."""
+def _checked_split(module, cls_set, e_not, mode, diagnostics):
+    """The split with quotient E / e_not; the part's Bernstein polynomial
+    must equal the class part of the module's Bernstein polynomial."""
+    split = PrimitiveSplit(module, cls_set, e_not,
+                           quotient_module(module, e_not), diagnostics)
+    b_poly = bernstein_polynomial(module, mode=mode)
     if not b_poly.is_split():
         diagnostics.append("class comparison skipped: unsplit Bernstein factor")
-        return
+        return split
     expected = [(v, m) for v, m in b_poly.roots if class_mod_z(-v) in cls_set]
-    actual = bernstein_polynomial(split.part_module, mode=mode,
-                                  max_iter=max_iter)
+    actual = bernstein_polynomial(split.part_module, mode=mode)
     if RationalPolynomial.from_roots(expected) != actual:
         diagnostics.append(
             "Bernstein polynomial of the class part does not match the "
             "class part of the Bernstein polynomial")
+    return split
 
 
 # -- higher Bernstein polynomials ------------------------------------------
@@ -463,7 +451,7 @@ class HigherBernstein:
         }
 
 
-def higher_bernstein(fresco_or_module, max_shift=None) -> HigherBernstein:
+def higher_bernstein(fresco_or_module) -> HigherBernstein:
     """Per-class filtration Bernstein polynomials, shifted by corank.
 
     For each class alpha present in the Bernstein roots: filter the
@@ -471,7 +459,12 @@ def higher_bernstein(fresco_or_module, max_shift=None) -> HigherBernstein:
     shift level j by the rank of part/S_j.  The assembled product is
     validated against the Bernstein polynomial of the module.
     """
-    module = getattr(fresco_or_module, "module", fresco_or_module)
+    return _higher_bernstein(
+        getattr(fresco_or_module, "module", fresco_or_module))
+
+
+@derived
+def _higher_bernstein(module: AbModule) -> HigherBernstein:
     diagnostics = []
     b_total = bernstein_polynomial(module, mode="characteristic")
     if not b_total.is_split():
@@ -484,7 +477,7 @@ def higher_bernstein(fresco_or_module, max_shift=None) -> HigherBernstein:
         part = split.part_module
         if part.rank == 0:
             continue
-        filt = semisimple_filtration(part, max_shift=max_shift)
+        filt = semisimple_filtration(part)
         diagnostics.extend(filt.diagnostics)
         d = filt.nilpotent_order
         part_rank = part.rank

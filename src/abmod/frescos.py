@@ -91,14 +91,8 @@ class Fresco:
     lattice: Lattice | None = None          # span inside a host module, if any
     host: AbModule | None = None
 
-    def bernstein(self, max_iter=None) -> RationalPolynomial:
-        hints = ()
-        if self.presentation is not None:
-            k = self.presentation.rank
-            hints = tuple(-(lam + j + 1 - k)
-                          for j, lam in enumerate(self.presentation.lambdas()))
-        return bernstein_polynomial(self.module, mode="characteristic",
-                                    hints=hints, max_iter=max_iter)
+    def bernstein(self) -> RationalPolynomial:
+        return bernstein_polynomial(self.module, mode="characteristic")
 
 
 def fresco_from_presentation(p: FrescoPresentation, prec=DEFAULT_PREC) -> Fresco:
@@ -113,11 +107,13 @@ def fresco_from_presentation(p: FrescoPresentation, prec=DEFAULT_PREC) -> Fresco
                   presentation=p, left_form=tuple(left))
 
 
-def bernstein_via_formula(p: FrescoPresentation) -> RationalPolynomial:
-    """The product (x + l_j + j - k) over the factor list.
+def bernstein_via_formula(
+        p: FrescoPresentation) -> tuple[RationalPolynomial, tuple]:
+    """The product (x + l_j + j - k) over the factor list, with the
+    violations: returns (polynomial, violations).
 
-    Also reports which of the numbers -(l_j + j - k) fail to be negative
-    rationals; violations do not stop the computation.
+    The violations are the numbers -(l_j + j - k) that fail to be negative
+    rationals; they do not stop the computation.
     """
     k = p.rank
     roots = {}

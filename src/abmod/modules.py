@@ -8,6 +8,8 @@ a(S x) = S (a x) + b^2 S' x holds automatically.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from fractions import Fraction
 
 from .errors import BadAlpha, HostMismatch, NonSquare, PrecisionExhausted
@@ -28,9 +30,10 @@ class XiInfo:
 
 
 class AbModule:
-    """Rank-k module over truncated series with an a-action matrix."""
+    """Rank-k module over truncated series with an a-action matrix; it
+    never changes, and ``memo`` keeps what is derived from it."""
 
-    __slots__ = ("rank", "prec", "a_matrix", "xi")
+    __slots__ = ("rank", "prec", "a_matrix", "xi", "memo")
 
     def __init__(self, a_matrix, prec=None, xi=None):
         rows = tuple(tuple(entry for entry in row) for row in a_matrix)
@@ -49,6 +52,7 @@ class AbModule:
         self.prec = p
         self.a_matrix = rows
         self.xi = xi
+        self.memo = {}
 
     # -- elements -------------------------------------------------------
 
@@ -210,6 +214,27 @@ class ModuleElement:
 
     def __repr__(self):
         return f"ModuleElement({self.render()})"
+
+
+def derived(fn):
+    """Compute ``fn(module, *args)`` once per module object.
+
+    The result is kept in the module's memo under the function and the
+    other arguments, defaults filled in, so every caller gets the same
+    object and must not mutate it.  A call that raises keeps nothing.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def once(module, *args, **kwargs):
+        bound = signature.bind(module, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn,) + bound.args[1:]
+        if key not in module.memo:
+            module.memo[key] = fn(*bound.args)
+        return module.memo[key]
+
+    return once
 
 
 # -- constructions -----------------------------------------------------

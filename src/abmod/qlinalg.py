@@ -72,10 +72,6 @@ def rref(a):
     return tuple(tuple(row) for row in m), tuple(pivots)
 
 
-def rank(a) -> int:
-    return len(rref(a)[1])
-
-
 def nullspace(a):
     """Basis of the right kernel, as a tuple of vectors."""
     rows = len(a)

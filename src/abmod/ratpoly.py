@@ -198,7 +198,7 @@ def _divisors(n: int):
     return sorted(set(out))
 
 
-def split_rational_roots(p, hints=()):
+def split_rational_roots(p):
     """Split off rational roots with multiplicity.
 
     Returns (roots, remainder): roots is a list of (value, multiplicity)
@@ -211,41 +211,20 @@ def split_rational_roots(p, hints=()):
         roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
         p = pnorm(p[1:])
 
-    def try_root(r):
-        nonlocal p
-        while pdeg(p) > 0 and peval(p, r) == 0:
-            p, _ = pdivmod(p, (-r, Fraction(1)))
-            roots[r] = roots.get(r, 0) + 1
-
-    for h in hints:
-        try_root(rat(h))
-
     while pdeg(p) > 0:
         den = 1
         for c in p:
             den = den * c.denominator // _gcd(den, c.denominator)
-        ip = [c * den for c in p]
-        a0 = int(ip[0])
-        ak = int(ip[-1])
-        found = False
-        if a0 == 0:
-            try_root(Fraction(0))
-            found = True
-            continue
-        for pn in _divisors(a0):
-            for qn in _divisors(ak):
-                for sign in (1, -1):
-                    cand = Fraction(sign * pn, qn)
-                    if peval(p, cand) == 0:
-                        try_root(cand)
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
+        # a0 != 0: zero roots are stripped above and no division restores one
+        a0, ak = int(p[0] * den), int(p[-1] * den)
+        candidates = (Fraction(sign * pn, qn) for pn in _divisors(a0)
+                      for qn in _divisors(ak) for sign in (1, -1))
+        r = next((c for c in candidates if peval(p, c) == 0), None)
+        if r is None:
             break
+        while pdeg(p) > 0 and peval(p, r) == 0:
+            p, _ = pdivmod(p, (-r, Fraction(1)))
+            roots[r] = roots.get(r, 0) + 1
     out = sorted(roots.items(), key=lambda t: t[0])
     return out, p
 
@@ -277,9 +256,9 @@ class RationalPolynomial:
         self.unsplit = pnorm(unsplit) if unsplit is not None and pdeg(pnorm(unsplit)) > 0 else None
 
     @classmethod
-    def from_matrix(cls, m, mode="minimal", hints=()):
+    def from_matrix(cls, m, mode="minimal"):
         p = minpoly(m) if mode == "minimal" else charpoly(m)
-        roots, rem = split_rational_roots(p, hints)
+        roots, rem = split_rational_roots(p)
         return cls(p, roots, rem if pdeg(rem) > 0 else None)
 
     @classmethod

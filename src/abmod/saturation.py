@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import HostMismatch, NotGeometric, NotRegular, PrecisionExhausted
 from .lattices import Lattice, full_lattice, lattice_reduce
-from .modules import AbModule, ModuleElement, smat_vec
+from .modules import AbModule, ModuleElement, derived, smat_vec
 from .ratpoly import RationalPolynomial
 from .series import rat_str
 
@@ -24,13 +24,12 @@ from .series import rat_str
 class SaturationResult:
     """Saturated module, inclusion data and the number of b^(-1)a steps."""
 
-    __slots__ = ("module", "inclusion", "steps", "scaled_lattice", "source")
+    __slots__ = ("module", "inclusion", "steps", "source")
 
-    def __init__(self, module, inclusion, steps, scaled_lattice, source):
+    def __init__(self, module, inclusion, steps, source):
         self.module = module          # the saturated module E#
         self.inclusion = inclusion    # k x k series matrix, column j = coords of e_j
         self.steps = steps            # saturation index m
-        self.scaled_lattice = scaled_lattice  # b^m E# as a lattice in E
         self.source = source
 
     def include(self, x: ModuleElement) -> ModuleElement:
@@ -54,9 +53,16 @@ def _shifted_basis_images(lat: Lattice, m: int):
 
 
 def saturate(module: AbModule, max_iter=None) -> SaturationResult:
-    """Smallest simple-pole module containing the input, with inclusion."""
+    """Smallest simple-pole module containing the input, with inclusion.
+
+    The result is kept on the module.  A later call with a *max_iter*
+    below its step count runs again, so it raises as a run under that cap.
+    """
+    known = module.memo.get("saturate")
+    if known is not None and (max_iter is None or known.steps <= max_iter):
+        return known
     if module.rank == 0:
-        return SaturationResult(module, (), 0, full_lattice(module), module)
+        return SaturationResult(module, (), 0, module)
     if max_iter is not None:
         cap, cap_why = max_iter, "configured cap"
     else:
@@ -105,23 +111,23 @@ def saturate(module: AbModule, max_iter=None) -> SaturationResult:
         incl_cols.append(c)
     inclusion = tuple(tuple(incl_cols[j][i] for j in range(module.rank))
                       for i in range(r))
-    return SaturationResult(sat, inclusion, m, lat, module)
+    module.memo["saturate"] = SaturationResult(sat, inclusion, m, module)
+    return module.memo["saturate"]
 
 
-def bernstein_polynomial(module: AbModule, mode="minimal", hints=(),
-                         max_iter=None) -> RationalPolynomial:
+@derived
+def bernstein_polynomial(module: AbModule, mode="minimal") -> RationalPolynomial:
     """Minimal (default) or characteristic polynomial of -b^(-1)a on E#/bE#."""
     if module.rank == 0:
         return RationalPolynomial.one()
-    sat = saturate(module, max_iter=max_iter)
-    res = sat.module.residue()
+    res = saturate(module).module.residue()
     neg = tuple(tuple(-c for c in row) for row in res)
-    return RationalPolynomial.from_matrix(neg, mode=mode, hints=hints)
+    return RationalPolynomial.from_matrix(neg, mode=mode)
 
 
-def is_geometric(module: AbModule, max_iter=None):
+def is_geometric(module: AbModule):
     """All Bernstein roots rational and negative; returns (bool, certificate)."""
-    poly = bernstein_polynomial(module, mode="minimal", max_iter=max_iter)
+    poly = bernstein_polynomial(module, mode="minimal")
     if not poly.is_split():
         return False, {
             "reason": "unsplit factor without rational roots",
@@ -137,8 +143,8 @@ def is_geometric(module: AbModule, max_iter=None):
     return True, {"roots": poly.roots}
 
 
-def require_geometric(module: AbModule, max_iter=None):
-    ok, cert = is_geometric(module, max_iter=max_iter)
+def require_geometric(module: AbModule):
+    ok, cert = is_geometric(module)
     if not ok:
         raise NotGeometric(cert["reason"])
     return cert

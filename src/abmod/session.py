@@ -358,14 +358,15 @@ def _bind(cmd: LetCommand) -> Binding:
 
 def _show(action, binding: Binding, max_sat_iter=None, seed=0):
     module = binding.module
+    # every action below works from this capped saturation, kept on the module
+    sat = saturate(module, max_iter=max_sat_iter)
     diagnostics = []
     if action == "bernstein":
         mode = "characteristic" if binding.kind == "fresco" else "minimal"
-        poly = bernstein_polynomial(module, mode=mode, max_iter=max_sat_iter)
+        poly = bernstein_polynomial(module, mode=mode)
         text = [f"bernstein ({mode}): {poly.render()}"]
         return {"mode": mode, "polynomial": poly.to_json()}, text, diagnostics
     if action == "saturate":
-        sat = saturate(module, max_iter=max_sat_iter)
         text = [f"saturation reached in {sat.steps} step(s); rank "
                 f"{sat.module.rank}",
                 "a-matrix: " + sat.module.render()]

@@ -95,6 +95,11 @@ class TestEmbedding:
         emb = embed_into_xi(xi)
         assert emb.depth == 1 and emb.dim_v == 1
 
+    def test_search_runs_once_per_module(self):
+        xi = xi_module(F(1, 2), 1, P)
+        assert embed_into_xi(xi) is embed_into_xi(xi)
+        assert embed_into_xi(xi, depth=1) is not embed_into_xi(xi)
+
     def test_isotypic_sum_needs_bigger_v(self):
         m = direct_sum(module_e_lambda(F(1, 2), P), module_e_lambda(F(1, 2), P))
         emb = embed_into_xi(m)

@@ -221,6 +221,19 @@ class TestFiltrationSplitCompatibility:
                 assert s_part.eq(s_proj)
 
 
+class TestMemo:
+    def test_equal_class_sets_share_one_split(self):
+        m = direct_sum(module_e_lambda(F(1, 2), P), module_e_lambda(F(1, 3), P))
+        split = primitive_split(m, {F(1, 2)})
+        assert primitive_split(m, [F(3, 2)]) is split
+        assert primitive_split(m, {F(1, 3)}) is not split
+
+    def test_fresco_shares_its_module_entry(self):
+        fr = theme()
+        assert higher_bernstein(fr) is higher_bernstein(fr.module)
+        assert semisimple_filtration(fr.module) is semisimple_filtration(fr.module)
+
+
 class TestHigherBernstein:
     def test_worked_theme(self):
         hb = higher_bernstein(theme())

@@ -73,6 +73,25 @@ class TestSaturate:
             assert vec[p] == TruncSeries.b_power(v, vec[p].prec)
 
 
+class TestMemo:
+    def test_derived_once_per_module(self):
+        m = theme_module()
+        assert saturate(m) is saturate(m)
+        assert bernstein_polynomial(m) is bernstein_polynomial(m, "minimal")
+        assert saturate(theme_module()) is not saturate(m)
+
+    def test_cap_below_cached_steps_raises_as_a_fresh_run(self):
+        m = theme_module()
+        s = saturate(m).steps
+        assert s >= 1
+        with pytest.raises(NotRegular) as cached:
+            saturate(m, max_iter=s - 1)
+        with pytest.raises(NotRegular) as fresh:
+            saturate(theme_module(), max_iter=s - 1)
+        assert str(cached.value) == str(fresh.value)
+        assert saturate(m, max_iter=s) is saturate(m)
+
+
 class TestBernstein:
     def test_rank_one(self):
         assert bernstein_polynomial(module_e_lambda(F(1, 2), P)).render() \

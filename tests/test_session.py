@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from abmod import (DuplicateName, ParseError, UnknownName, parse_session,
-                   run_session)
+                   run_session, saturation)
+from abmod.session import SHOW_COMMANDS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
@@ -93,6 +94,29 @@ class TestRun:
         relaxed = run_session(parse_session(text))
         strict = run_session(parse_session(text), check=True)
         assert not relaxed.failed and strict.failed
+
+    def test_saturation_cap_applies_to_every_action(self):
+        text = "precision 8\nlet F = fresco [(3/2, 1), (1/2, 1)]\n" + "".join(
+            f"show {action} F\n" for action in SHOW_COMMANDS)
+        capped = run_session(parse_session(text), max_sat_iter=0)
+        assert [e.get("error", {}).get("type") for e in capped.entries[2:]] \
+            == ["NotRegular"] * len(SHOW_COMMANDS)
+        assert not run_session(parse_session(text), max_sat_iter=1).failed
+
+    @pytest.mark.parametrize("first, then", [("higher_bernstein", "report"),
+                                             ("embed", "expansion")])
+    def test_later_action_saturates_nothing_new(self, monkeypatch, first, then):
+        bodies = []
+        run_body = saturation._shifted_basis_images
+        monkeypatch.setattr(saturation, "_shifted_basis_images",
+                            lambda lat, m: bodies.append(m) or run_body(lat, m))
+        text = f"precision 8\nlet F = fresco [(3/2, 1), (1/2, 1)]\nshow {first} F\n"
+        run_session(parse_session(text))
+        alone = len(bodies)
+        assert alone
+        report = run_session(parse_session(text + f"show {then} F\n"))
+        assert not report.failed
+        assert len(bodies) == 2 * alone
 
 
 class TestCli:
