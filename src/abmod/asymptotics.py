@@ -204,6 +204,8 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0) -> Embedding
             searched.append((n_depth, dv))
             target = build_xi_tensor(classes, n_depth, dv, prec)
             solver, phi, p = _solve_equivariance(src, target, cutoff)
+            phi = [[[solver.reduce(f) for f in row] for row in phi_n]
+                   for phi_n in phi]
             forms = [phi[n][t][j] for n in range(p)
                      for t in range(target.rank) for j in range(k)]
             live = [q for q in solver.live_params(forms)

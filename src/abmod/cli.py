@@ -10,6 +10,14 @@ from .series import DEFAULT_PREC
 from .session import parse_session, run_session
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="abmod",
@@ -21,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=DEFAULT_PREC,
                    help="default series precision for the session")
     p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument("--max-sat-iter", type=int, default=None,
+    p.add_argument("--max-sat-iter", type=non_negative_int, default=None,
                    help="cap on saturation steps, for every show action "
                         "(default rank * precision)")
     p.add_argument("--seed", type=int, default=0,

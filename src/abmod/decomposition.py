@@ -69,6 +69,7 @@ def eigen_elements(module: AbModule, lam) -> Lattice:
             if n >= 1:
                 eq = form_add(eq, form_scale(s[n - 1][i], Fraction(n - 1) - lam))
             solver.add_equation(eq)
+    s = [[solver.reduce(f) for f in row] for row in s]
     forms = [f for row in s for f in row]
     live = [q for q in solver.live_params(forms) if solver.tag(q) <= cutoff]
     sols = []

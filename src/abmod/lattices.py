@@ -63,7 +63,7 @@ class Lattice:
             coords.append(c)
             if not c.is_zero_known():
                 for i in range(len(r)):
-                    r[i] = r[i] - c.mul_sharp(g[i], cap=self.host.prec)
+                    r[i] = r[i].sub_mul(c, g[i], cap=self.host.prec)
             r[p] = TruncSeries.zero(r[p].prec)
         for e in r:
             if not e.decided_zero("membership residual"):
@@ -123,7 +123,7 @@ def _reduce_vectors(vectors, dim, prec, tracks=None):
 
     def sub_scaled(dst, q, src):
         for i in range(len(dst)):
-            dst[i] = dst[i] - q.mul_sharp(src[i], cap=prec)
+            dst[i] = dst[i].sub_mul(q, src[i], cap=prec)
 
     while True:
         # drop decided-zero vectors, keeping their tracks
@@ -295,7 +295,7 @@ def normal_hull(lat: Lattice) -> Lattice:
                 raise PrecisionExhausted("hull pivot was not minimal")
             if not high.is_zero_known():
                 for i in range(k):
-                    G[i][j] = G[i][j] - high.mul_sharp(G[i][pj], cap=prec)
+                    G[i][j] = G[i][j].sub_mul(high, G[i][pj], cap=prec)
             G[pi][j] = TruncSeries.zero(prec)
         # clear the pivot column (row operations; update F by the inverse op)
         for i in range(k):
@@ -308,9 +308,10 @@ def normal_hull(lat: Lattice) -> Lattice:
             if not high.is_zero_known():
                 # row_i -= high * row_pi  on G; F gets col_pi += high * col_i
                 for j in range(r):
-                    G[i][j] = G[i][j] - high.mul_sharp(G[pi][j], cap=prec)
+                    G[i][j] = G[i][j].sub_mul(high, G[pi][j], cap=prec)
+                neg = -high
                 for t in range(k):
-                    F[t][pi] = F[t][pi] + high.mul_sharp(F[t][i], cap=prec)
+                    F[t][pi] = F[t][pi].sub_mul(neg, F[t][i], cap=prec)
             G[i][pj] = TruncSeries.zero(prec)
         done_rows.add(pi)
         done_cols.add(pj)
@@ -413,7 +414,7 @@ def quot_project_raw(quot: Quotient, x: ModuleElement):
         c = vec[p]
         if not c.is_zero_known():
             for i in range(len(vec)):
-                vec[i] = vec[i] - c.mul_sharp(g[i], cap=quot._host.prec)
+                vec[i] = vec[i].sub_mul(c, g[i], cap=quot._host.prec)
         vec[p] = TruncSeries.zero(vec[p].prec)
     return [vec[i] for i in quot.complement]
 

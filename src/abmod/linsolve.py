@@ -47,6 +47,11 @@ class ParamSolver:
         return self._tags[p]
 
     def reduce(self, form: dict) -> dict:
+        """The form with every eliminated parameter substituted away.
+
+        The result depends only on free parameters, so reducing it again
+        returns an equal form until the next equation is added.
+        """
         out = {}
         for p, c in form.items():
             if not c:
@@ -89,13 +94,22 @@ class ParamSolver:
                     g.pop(r, None)
 
     def live_params(self, forms) -> list:
+        """Sorted free parameters that the reduced forms depend on."""
         seen = set()
         for f in forms:
             seen.update(self.reduce(f).keys())
         return sorted(seen)
 
     def evaluate(self, form: dict, assignment: dict) -> Fraction:
+        """Value of a *reduced* form (see :meth:`reduce`) when the free
+        parameters take the values in *assignment* (0 where missing).
+
+        The form is not reduced again: reduce each form once after the last
+        equation, then evaluate it at as many assignments as needed.
+        """
         acc = Fraction(0)
-        for p, c in self.reduce(form).items():
-            acc += c * assignment.get(p, Fraction(0))
+        for p, c in form.items():
+            a = assignment.get(p)
+            if a:
+                acc += c * a
         return acc

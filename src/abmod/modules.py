@@ -350,10 +350,10 @@ def smat_vec(mat, vec, cap):
     """mat . vec for a series matrix and vector, at precision <= cap."""
     out = []
     for row in mat:
-        acc = TruncSeries.zero(cap)
+        acc = TruncSeries.zero(cap)     # accumulates -(row . vec)
         for e, x in zip(row, vec):
-            acc = acc + e.mul_sharp(x, cap=cap)
-        out.append(acc)
+            acc = acc.sub_mul(e, x, cap=cap)
+        out.append(-acc)
     return tuple(out)
 
 

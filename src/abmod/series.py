@@ -7,18 +7,29 @@ inputs and equality means agreement up to the shared precision.
 
 :meth:`TruncSeries.mul_sharp` is the one series product: it keeps the
 precision min(p1+v2, p2+v1) that the valuations allow, optionally capped,
-and ``x * y`` is ``mul_sharp`` capped at min(p1, p2).  Its coefficients
-come from :func:`convolve`, which polynomial products share.  ``shift``
-also exploits valuations; the lattice and module layers depend on both.
+and ``x * y`` is ``mul_sharp`` capped at min(p1, p2).  ``shift`` also
+exploits valuations; the lattice and module layers depend on both.
+
+The kernels compute over the integers.  ``_product`` holds the one
+convolution loop: it scales each input by the lcm of its denominators and
+convolves the integer numerators.  ``mul_sharp``, polynomial products
+(:func:`convolve`) and the fused row operation :meth:`TruncSeries.sub_mul`,
+``x - c * y`` at the precision of ``x - c.mul_sharp(y)``, all use it;
+:meth:`TruncSeries.invert` runs its recurrence on integer numerators too.
+Each builds one ``Fraction`` per nonzero result coefficient, and since
+``Fraction`` is canonical the rationals are the ones that exact rational
+arithmetic gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotAUnit, PrecisionExhausted
 
 DEFAULT_PREC = 32
+_ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
@@ -40,15 +51,41 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _numerators(coeffs, n: int):
+    """(integer numerators, common denominator) of the first n coefficients."""
+    head = coeffs[:n]
+    d = lcm(*[c.denominator for c in head])
+    if d == 1:
+        return [c.numerator for c in head], 1
+    return [c.numerator * (d // c.denominator) for c in head], d
+
+
+def _over(nums, d: int) -> tuple:
+    """The rationals nums[i] / d, one normalisation per nonzero entry."""
+    return tuple(Fraction(c, d) if c else _ZERO for c in nums)
+
+
+def _product(x, y, n: int):
+    """(integer numerators, common denominator) of the first n coefficients
+    of the product of two coefficient sequences.  This is the only
+    convolution loop."""
+    a, da = _numerators(x, n)
+    b, db = _numerators(y, n)
+    out = [0] * n
+    nzb = [(j, c) for j, c in enumerate(b) if c]
+    for i, ai in enumerate(a):
+        if ai:
+            lim = n - i
+            for j, bj in nzb:
+                if j >= lim:
+                    break
+                out[i + j] += ai * bj
+    return out, da * db
+
+
 def convolve(x, y, n: int) -> list:
     """The first n coefficients of the product of two coefficient sequences."""
-    out = [Fraction(0)] * n
-    for i, ci in enumerate(x[:n]):
-        if ci:
-            for j, cj in enumerate(y[:n - i]):
-                if cj:
-                    out[i + j] += ci * cj
-    return out
+    return list(_over(*_product(x, y, n)))
 
 
 class TruncSeries:
@@ -68,6 +105,14 @@ class TruncSeries:
             coeffs = coeffs[:prec]
         self.coeffs = tuple(coeffs)
         self.prec = prec
+
+    @classmethod
+    def _exact(cls, coeffs, prec):
+        """A series from exactly *prec* Fraction coefficients, unchecked."""
+        s = object.__new__(cls)
+        s.coeffs = tuple(coeffs)
+        s.prec = prec
+        return s
 
     # -- constructors ------------------------------------------------
 
@@ -128,20 +173,20 @@ class TruncSeries:
         if other is None:
             return NotImplemented
         p = min(self.prec, other.prec)
-        return TruncSeries(
+        return TruncSeries._exact(
             [self.coeffs[i] + other.coeffs[i] for i in range(p)], p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.prec)
+        return TruncSeries._exact([-c for c in self.coeffs], self.prec)
 
     def __sub__(self, other):
         other = self._promote(other)
         if other is None:
             return NotImplemented
         p = min(self.prec, other.prec)
-        return TruncSeries(
+        return TruncSeries._exact(
             [self.coeffs[i] - other.coeffs[i] for i in range(p)], p)
 
     def __rsub__(self, other):
@@ -161,7 +206,7 @@ class TruncSeries:
 
     def scale(self, c) -> "TruncSeries":
         c = rat(c)
-        return TruncSeries([c * x for x in self.coeffs], self.prec)
+        return TruncSeries._exact([c * x for x in self.coeffs], self.prec)
 
     def mul_sharp(self, other: "TruncSeries", cap=None) -> "TruncSeries":
         """Valuation-aware product: prec = min(p1+v2, p2+v1), optionally capped.
@@ -169,12 +214,28 @@ class TruncSeries:
         Coefficients below the result precision only involve known inputs,
         so no information is invented.
         """
+        p = self._sharp_prec(other, cap)
+        nums, d = _product(self.coeffs, other.coeffs, p)
+        return TruncSeries._exact(_over(nums, d), p)
+
+    def _sharp_prec(self, other, cap):
         v1 = self.valuation_lower_bound()
         v2 = other.valuation_lower_bound()
         p = min(self.prec + v2, other.prec + v1)
-        if cap is not None:
-            p = min(p, cap)
-        return TruncSeries(convolve(self.coeffs, other.coeffs, p), p)
+        return p if cap is None else min(p, cap)
+
+    def sub_mul(self, c: "TruncSeries", y: "TruncSeries",
+                cap=None) -> "TruncSeries":
+        """The row operation self - c * y, fused: the same coefficients and
+        precision as ``self - c.mul_sharp(y, cap=cap)``, with one
+        normalisation per nonzero result coefficient."""
+        p = min(self.prec, c._sharp_prec(y, cap))
+        prod, dp = _product(c.coeffs, y.coeffs, p)
+        x, dx = _numerators(self.coeffs, p)
+        d = lcm(dx, dp)
+        sx, sp = d // dx, d // dp
+        return TruncSeries._exact(
+            _over([u * sx - w * sp for u, w in zip(x, prod)], d), p)
 
     def shift(self, k: int, cap=None) -> "TruncSeries":
         """Multiply by b^k exactly; precision grows by k (optionally capped)."""
@@ -193,7 +254,7 @@ class TruncSeries:
     def derivative(self) -> "TruncSeries":
         """d/db; loses one order of precision."""
         p = max(self.prec - 1, 0)
-        return TruncSeries(
+        return TruncSeries._exact(
             [(i + 1) * self.coeffs[i + 1] for i in range(p)], p)
 
     def twist(self, cap=None) -> "TruncSeries":
@@ -203,16 +264,26 @@ class TruncSeries:
     def invert(self) -> "TruncSeries":
         if self.prec < 1 or self.coeffs[0] == 0:
             raise NotAUnit("series has no invertible constant term")
+        # With self = A / d for integer A, 1/self = d / A, and coefficient n
+        # of 1/A is B_n / a0^(n+1), where B_0 = 1 and
+        # B_n = -sum_{i=1..n} a_i a0^(i-1) B_(n-i).
         p = self.prec
-        c0 = self.coeffs[0]
-        out = [Fraction(1, 1) / c0]
+        a, d = _numerators(self.coeffs, p)
+        a0 = a[0]
+        w = [(i, a[i] * a0 ** (i - 1)) for i in range(1, p) if a[i]]
+        num = [1]
         for n in range(1, p):
-            s = Fraction(0)
-            for i in range(1, n + 1):
-                if self.coeffs[i]:
-                    s += self.coeffs[i] * out[n - i]
-            out.append(-s / c0)
-        return TruncSeries(out, p)
+            s = 0
+            for i, wi in w:
+                if i > n:
+                    break
+                s += wi * num[n - i]
+            num.append(-s)
+        out, den = [], a0
+        for bn in num:
+            out.append(Fraction(d * bn, den) if bn else _ZERO)
+            den *= a0
+        return TruncSeries._exact(out, p)
 
     def divide_bpow(self, v: int) -> "TruncSeries":
         """Exact division by b^v; requires the known low coefficients to vanish."""
@@ -224,14 +295,14 @@ class TruncSeries:
         if self.prec - v < 1:
             raise PrecisionExhausted(
                 f"dividing by b^{v} leaves no known coefficients (prec {self.prec})")
-        return TruncSeries(self.coeffs[v:], self.prec - v)
+        return TruncSeries._exact(self.coeffs[v:], self.prec - v)
 
     def split_at(self, v: int):
         """Return (low, high) with self = low + b^v * high, deg(low) < v."""
         low = TruncSeries(self.coeffs[:min(v, self.prec)], self.prec)
         if self.prec - v < 0:
             raise PrecisionExhausted(f"cannot split beyond precision {self.prec}")
-        high = TruncSeries(self.coeffs[v:], self.prec - v)
+        high = TruncSeries._exact(self.coeffs[v:], self.prec - v)
         return low, high
 
     # -- comparison ---------------------------------------------------

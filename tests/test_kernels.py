@@ -3,13 +3,19 @@
 Series are drawn at precision 0..12 with a planted valuation: every
 coefficient below it is zero and the one at it is not, so the precision
 each product should reach is known without asking the code under test.
+Coefficients mix small rationals with pairwise coprime denominators, a
+61-bit prime denominator and numerators near 2**70, so the common
+denominators and integer numerators of the series kernel get large.
 """
 
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from abmod import TruncSeries
+from abmod.errors import NotAUnit
 from abmod.modules import smat_mul, smat_vec
 from abmod.ratpoly import pmul, pnorm
 from abmod.series import convolve
@@ -18,7 +24,13 @@ MAX_PREC = 12
 PROPS = settings(derandomize=True, database=None, deadline=None,
                  max_examples=40)
 
-coeff = st.sampled_from([F(n, d) for n in range(-4, 5) for d in (1, 2, 3, 5)])
+BIG_PRIME = 2**61 - 1
+coeff = st.one_of(
+    st.sampled_from([F(n, d) for n in range(-4, 5) for d in (1, 2, 3, 5)]),
+    st.builds(F, st.integers(-6, 6), st.sampled_from([7, 11, 13, BIG_PRIME])),
+    st.builds(F, st.integers(-3, 3).map(lambda k: 2**70 + k)
+              | st.integers(-3, 3).map(lambda k: -2**70 + k),
+              st.sampled_from([1, 3, 13, BIG_PRIME])))
 nonzero = coeff.filter(bool)
 
 
@@ -136,3 +148,38 @@ def test_smat_mul_matches_entrywise_sums(case):
        st.lists(coeff, min_size=1, max_size=8))
 def test_pmul_matches_polynomial_product(p, q):
     assert pmul(p, q) == pnorm(naive(p, q, len(p) + len(q) - 1))
+
+
+@PROPS
+@given(planted(), planted(), planted(), st.integers(0, 2 * MAX_PREC))
+def test_sub_mul_is_the_unfused_row_operation(x, c, y, cap):
+    (sx, _), (sc, _), (sy, _) = x, c, y
+    out = sx.sub_mul(sc, sy, cap=cap)
+    prod, p = sharp_reference(c, y, cap)
+    p = min(p, sx.prec)
+    assert as_pair(out) == ([sx.coeffs[k] - prod[k] for k in range(p)], p)
+    assert as_pair(out) == as_pair(sx - sc.mul_sharp(sy, cap=cap))
+    assert as_pair(sx.sub_mul(sc, sy)) == as_pair(sx - sc.mul_sharp(sy))
+
+
+def naive_inverse(coeffs):
+    """1 / series by the textbook recurrence over the rationals."""
+    out = [1 / coeffs[0]]
+    for n in range(1, len(coeffs)):
+        out.append(-sum((coeffs[i] * out[n - i] for i in range(1, n + 1)),
+                        F(0)) / coeffs[0])
+    return out
+
+
+@PROPS
+@given(planted())
+def test_invert_matches_the_recurrence(x):
+    s, v = x
+    if v > 0 or s.prec == 0:     # no invertible constant term
+        with pytest.raises(NotAUnit):
+            s.invert()
+        return
+    inv = s.invert()
+    assert as_pair(inv) == (naive_inverse(s.coeffs), s.prec)
+    assert as_pair(inv.mul_sharp(s)) == ([F(1)] + [F(0)] * (s.prec - 1),
+                                         s.prec)

@@ -1,0 +1,90 @@
+"""Property tests of the incremental parameter solver on random systems.
+
+A system is a number of parameters and a list of equations, each a sparse
+linear form with small rational coefficients.  The reference solution is
+built from the public interface only: the free parameters are those that
+reduce to themselves, and every parameter's value is its reduced form
+evaluated at an assignment of the free ones.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from abmod.linsolve import ParamSolver
+
+PROPS = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=60)
+
+MAX_PARAMS = 8
+coeff = st.sampled_from([F(n, d) for n in range(-3, 4) for d in (1, 2, 7)])
+value = st.sampled_from([F(n, d) for n in range(-5, 6) for d in (1, 3)])
+
+
+def form(n):
+    return st.dictionaries(st.integers(0, n - 1), coeff, max_size=4)
+
+
+@st.composite
+def system(draw):
+    """(solver, forms, values for every parameter, parameter count,
+    equations), the solver holding the equations."""
+    n = draw(st.integers(1, MAX_PARAMS))
+    solver = ParamSolver()
+    for _ in range(n):
+        solver.new_param()
+    equations = draw(st.lists(form(n), max_size=n + 2))
+    for eq in equations:
+        solver.add_equation(eq)
+    forms = draw(st.lists(form(n), min_size=1, max_size=6))
+    assign = {p: draw(value) for p in range(n)}
+    return solver, forms, assign, n, equations
+
+
+def dot(f, values):
+    return sum((c * values[p] for p, c in f.items()), F(0))
+
+
+def full_solution(solver, n, assign):
+    """A value for every parameter that satisfies every equation: the free
+    parameters take their values from *assign*."""
+    free = {p: assign[p] for p in range(n)
+            if solver.reduce({p: F(1)}) == {p: F(1)}}
+    return {p: dot(solver.reduce({p: F(1)}), free) for p in range(n)}, free
+
+
+@PROPS
+@given(system())
+def test_reduce_is_idempotent_on_a_finished_solver(case):
+    solver, forms, _, _, _ = case
+    for f in forms:
+        once = solver.reduce(f)
+        assert solver.reduce(once) == once
+        assert all(c for c in once.values())
+
+
+@PROPS
+@given(system())
+def test_evaluate_of_reduced_form_is_the_value_on_the_solution(case):
+    solver, forms, assign, n, equations = case
+    values, free = full_solution(solver, n, assign)
+    assert all(dot(eq, values) == 0 for eq in equations)
+    for f in forms:
+        reduced = solver.reduce(f)
+        assert set(reduced) <= set(free)
+        # the value of f on a solution of the system, computed from f itself
+        assert solver.evaluate(reduced, free) == dot(f, values)
+        # the old evaluate(f, a), which reduced f itself; missing values are 0
+        part = {p: v for p, v in assign.items() if p % 2}
+        assert solver.evaluate(reduced, part) == sum(
+            (c * part.get(p, F(0)) for p, c in reduced.items()), F(0))
+
+
+@PROPS
+@given(system())
+def test_live_params_unchanged_on_reduced_forms(case):
+    solver, forms, _, _, _ = case
+    reduced = [solver.reduce(f) for f in forms]
+    assert solver.live_params(reduced) == solver.live_params(forms)
+    assert solver.live_params(forms) == sorted(
+        {p for f in reduced for p in f})

@@ -140,6 +140,18 @@ class TestCli:
         proc = self._run([], stdin="nonsense\n")
         assert proc.returncode == 2
 
+    def test_negative_saturation_cap_is_a_usage_error(self):
+        session = "let F = fresco [(3/2, 1), (1/2, 1)]\nshow saturate F\n"
+        proc = self._run(["--precision", "16", "--max-sat-iter", "-1"],
+                         stdin=session)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--max-sat-iter: must be >= 0, got -1" in proc.stderr
+        proc = self._run(["--precision", "16", "--max-sat-iter", "0"],
+                         stdin=session)
+        assert proc.returncode == 1
+        assert "within 0 steps" in proc.stdout
+
     @pytest.mark.parametrize("name", ["worked_theme", "expansions_and_systems",
                                       "mixed_classes"])
     def test_golden_files_text(self, name):
