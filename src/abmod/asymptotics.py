@@ -17,12 +17,12 @@ from fractions import Fraction
 from .errors import (AbmodError, HostMismatch, NoEmbeddingFound,
                      PrecisionExhausted)
 from .lattices import _reduce_vectors, lattice_reduce, sub_module_structure
-from .linsolve import ParamSolver, form_add, form_scale
 from .modules import (AbModule, ModuleElement, build_xi_tensor, derived,
                       module_from_matrix, smat_mul, smat_vec)
 from .ratpoly import RationalPolynomial
 from .saturation import bernstein_polynomial, require_geometric, saturate
-from .decomposition import class_mod_z, higher_bernstein, semisimple_part
+from .decomposition import (_solve_equivariance, class_mod_z,
+                            higher_bernstein, semisimple_part)
 from .series import DEFAULT_PREC, TruncSeries, rat, rat_str
 
 
@@ -123,44 +123,6 @@ class Embedding:
         return True
 
 
-def _solve_equivariance(source: AbModule, target: AbModule, cutoff: int):
-    """Parametric solution of Phi . A = B . Phi + b^2 Phi' order by order.
-
-    Both modules must have a simple pole.  Returns (solver, forms) where
-    forms[n][t][j] is the linear form for the order-n coefficient of the
-    (t, j) matrix entry.
-    """
-    ks, kt = source.rank, target.rank
-    p = min(source.prec, target.prec)
-    a_co = [
-        tuple(tuple(source.a_matrix[i][j].coeffs[m] for j in range(ks))
-              for i in range(ks)) for m in range(p)]
-    b_co = [
-        tuple(tuple(target.a_matrix[i][j].coeffs[m] for j in range(kt))
-              for i in range(kt)) for m in range(p)]
-    solver = ParamSolver()
-    phi = [[[{solver.new_param(tag=n): Fraction(1)} for _ in range(ks)]
-            for _ in range(kt)] for n in range(p)]
-    for n in range(1, p):
-        for t in range(kt):
-            for j in range(ks):
-                eq = {}
-                for m in range(1, n + 1):
-                    # (Phi_{n-m} A_m)_{tj}
-                    for i in range(ks):
-                        c = a_co[m][i][j]
-                        if c:
-                            eq = form_add(eq, form_scale(phi[n - m][t][i], c))
-                    # -(B_m Phi_{n-m})_{tj}
-                    for u in range(kt):
-                        c = b_co[m][t][u]
-                        if c:
-                            eq = form_add(eq, form_scale(phi[n - m][u][j], -c))
-                eq = form_add(eq, form_scale(phi[n - 1][t][j], -Fraction(n - 1)))
-                solver.add_equation(eq)
-    return solver, phi, p
-
-
 def _series_matrix_rank(matrix, dim, prec) -> int:
     cols = [tuple(matrix[i][j] for i in range(dim))
             for j in range(len(matrix[0]))]
@@ -203,27 +165,9 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0) -> Embedding
         for dv in dim_candidates:
             searched.append((n_depth, dv))
             target = build_xi_tensor(classes, n_depth, dv, prec)
-            solver, phi, p = _solve_equivariance(src, target, cutoff)
-            phi = [[[solver.reduce(f) for f in row] for row in phi_n]
-                   for phi_n in phi]
-            forms = [phi[n][t][j] for n in range(p)
-                     for t in range(target.rank) for j in range(k)]
-            live = [q for q in solver.live_params(forms)
-                    if solver.tag(q) <= cutoff]
+            live, build = _solve_equivariance(src, target, cutoff)
             if not live:
                 continue
-
-            def build(assign):
-                cols = []
-                for j in range(k):
-                    col = []
-                    for t in range(target.rank):
-                        coeffs = [solver.evaluate(phi[n][t][j], assign)
-                                  for n in range(p)]
-                        col.append(TruncSeries(coeffs, p))
-                    cols.append(col)
-                return tuple(tuple(cols[j][t] for j in range(k))
-                             for t in range(target.rank))
 
             candidates = []
             for q in live:
@@ -235,7 +179,7 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0) -> Embedding
                                    for q in live})
             for assign in candidates:
                 mat = build(assign)
-                if _series_matrix_rank(mat, target.rank, p) < k:
+                if _series_matrix_rank(mat, target.rank, prec) < k:
                     continue
                 emb = Embedding(source=src, target=target, matrix=mat,
                                 classes=classes, depth=n_depth, dim_v=dv)
@@ -408,16 +352,8 @@ def realize_expansion(x: ModuleElement, order: int):
 
     Terms from different copies of the multiplicity space are summed.
     """
-    host = x.host
-    if host.xi is None:
-        raise ValueError("element does not live in an expansion module")
-    cap = order + 2
-    total = LogPowerFunction(order_cap=cap)
-    for t, coeff in enumerate(x.coords):
-        base = basis_realization(host, t, cap)
-        total = total.add(base.apply_series(coeff))
-    usable = min(order, x.host.prec - 1)
-    return total.term_list(order=usable)
+    return realize_function(x, order + 2).term_list(
+        order=min(order, x.host.prec - 1))
 
 
 def realize_function(x: ModuleElement, order_cap: int) -> LogPowerFunction:

@@ -2,11 +2,14 @@
 higher Bernstein polynomials.
 
 The filtration is computed from eigen-elements: solutions of
-(a - lambda b) x = 0 found coefficient-by-coefficient as an exact linear
-system.  The algorithmic choices the underlying theory leaves open (the
-eigen-span hull realizing the first filtration step, the candidate bound
-for lambda) are validated post hoc; failures surface as diagnostics, and
-never as silently wrong answers.
+(a - lambda b) x = 0, the images of e under a-equivariant maps
+E_lambda -> E.  They come from the one solver for equivariant maps, which
+the embedding search into expansion modules shares; it finds the map
+coefficient-by-coefficient as an exact linear system.  The algorithmic
+choices the underlying theory leaves open (the eigen-span hull realizing
+the first filtration step, the candidate bound for lambda) are validated
+post hoc; failures surface as diagnostics, and never as silently wrong
+answers.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from .lattices import (Lattice, Quotient, full_lattice, is_normal,
                        sub_module_structure, kernel_of_series_map,
                        zero_lattice)
 from .linsolve import ParamSolver, form_add, form_scale
-from .modules import AbModule, derived, smat_from_const, smat_mul, smat_inverse
+from .modules import (AbModule, derived, module_e_lambda, smat_coeff,
+                      smat_from_const, smat_inverse, smat_mul)
 from .qlinalg import (identity, inverse as qinverse, mat_mul, mat_sub,
                       mat_scale, nullspace, solve as qsolve)
 from .ratpoly import RationalPolynomial
@@ -35,51 +39,81 @@ def class_mod_z(x) -> Fraction:
     return f if f != 0 else Fraction(1)
 
 
-# -- eigen elements -----------------------------------------------------
+# -- equivariant maps and eigen elements ------------------------------------
+
+def _solve_equivariance(source: AbModule, target: AbModule, cutoff: int):
+    """Parametric solution of Phi . A = B . Phi + b^2 Phi' order by order.
+
+    Phi is the target.rank x source.rank series matrix of an a-equivariant
+    map source -> target, and A, B are the two a-matrices.  Returns
+    (live, build): the free parameters of tag (order) <= cutoff that the
+    solution depends on, and ``build(assign)``, the matrix Phi when those
+    parameters take the values in *assign* (0 where missing).
+    """
+    ks, kt = source.rank, target.rank
+    p = min(source.prec, target.prec)
+    # terms[m][t][j]: the nonzero ((r, s), c) with
+    # (Phi_{n-m} A_m - B_m Phi_{n-m})_{tj} = sum of c * Phi_{n-m}[r][s];
+    # at m = 1 the (t, j) term is kept apart in diag[t][j], because the
+    # b^2 Phi' term adds -(n - 1) times the same unknown
+    terms, diag = [], [[Fraction(0)] * ks for _ in range(kt)]
+    for m in range(p):
+        a, b = smat_coeff(source.a_matrix, m), smat_coeff(target.a_matrix, m)
+        terms.append([[None] * ks for _ in range(kt)])
+        for t in range(kt):
+            for j in range(ks):
+                acc = {(t, i): a[i][j] for i in range(ks)}
+                for u in range(kt):
+                    acc[u, j] = acc.get((u, j), 0) - b[t][u]
+                if m == 1:
+                    diag[t][j] = acc.pop((t, j))
+                terms[m][t][j] = [(rs, c) for rs, c in acc.items() if c]
+    solver = ParamSolver()
+    phi = [[[{solver.new_param(tag=n): Fraction(1)} for _ in range(ks)]
+            for _ in range(kt)] for n in range(p)]
+    for n in range(p):
+        for t in range(kt):
+            for j in range(ks):
+                eq = {}
+                for m in range(n + 1):
+                    prev = phi[n - m]
+                    for (r, s), c in terms[m][t][j]:
+                        form_add(eq, form_scale(prev[r][s], c))
+                if n:
+                    form_add(eq, form_scale(phi[n - 1][t][j],
+                                            diag[t][j] + 1 - n))
+                solver.add_equation(eq)
+    phi = [[[solver.reduce(f) for f in row] for row in phi_n] for phi_n in phi]
+    live = [q for q in solver.live_params(f for phi_n in phi for row in phi_n
+                                          for f in row)
+            if solver.tag(q) <= cutoff]
+
+    def build(assign):
+        return tuple(
+            tuple(TruncSeries([solver.evaluate(phi[n][t][j], assign)
+                               for n in range(p)], p) for j in range(ks))
+            for t in range(kt))
+
+    return live, build
+
 
 def eigen_elements(module: AbModule, lam) -> Lattice:
     """Solution lattice of (a - lambda b) x = 0, order by order in b.
 
-    Solutions of the truncated system whose valuation exceeds prec // 2
-    are discarded: their defining constraints lie beyond the truncation
-    order, so they are indistinguishable from zero and carry no structure.
+    A solution is the image of e under an a-equivariant map E_lambda -> E,
+    where a e = lambda b e.  Solutions of the truncated system whose
+    valuation exceeds prec // 2 are discarded: their defining constraints
+    lie beyond the truncation order, so they are indistinguishable from
+    zero and carry no structure.
     """
-    lam = rat(lam)
-    k = module.rank
     p = module.prec
     cutoff = p // 2
-    if k == 0 or p < 2:
+    if module.rank == 0 or p < 2:
         return zero_lattice(module)
-    mats = [
-        tuple(tuple(module.a_matrix[i][j].coeffs[m] for j in range(k))
-              for i in range(k))
-        for m in range(p)
-    ]
-    solver = ParamSolver()
-    s = [[{solver.new_param(tag=n): Fraction(1)} for _ in range(k)]
-         for n in range(p)]
-    for n in range(p):
-        for i in range(k):
-            eq = {}
-            for m in range(n + 1):
-                row = mats[m][i]
-                for j in range(k):
-                    if row[j]:
-                        eq = form_add(eq, form_scale(s[n - m][j], row[j]))
-            if n >= 1:
-                eq = form_add(eq, form_scale(s[n - 1][i], Fraction(n - 1) - lam))
-            solver.add_equation(eq)
-    s = [[solver.reduce(f) for f in row] for row in s]
-    forms = [f for row in s for f in row]
-    live = [q for q in solver.live_params(forms) if solver.tag(q) <= cutoff]
+    live, build = _solve_equivariance(module_e_lambda(lam, p), module, cutoff)
     sols = []
     for q in live:
-        assign = {q: Fraction(1)}
-        coords = []
-        for i in range(k):
-            coeffs = [solver.evaluate(s[n][i], assign) for n in range(p)]
-            coords.append(TruncSeries(coeffs, p))
-        elem = module.element(coords)
+        elem = module.element([row[0] for row in build({q: Fraction(1)})])
         if not elem.is_zero_known() and elem.valuation_lower_bound() <= cutoff:
             sols.append(elem)
     return lattice_reduce(sols, host=module)
@@ -316,11 +350,7 @@ def _primitive_split(module: AbModule, cls_set, mode) -> PrimitiveSplit:
     p = sat.module.prec
     a_t = smat_mul(smat_mul(smat_from_const(cinv, p), sat.module.a_matrix, p),
                    smat_from_const(cmat, p), p)
-    coeff = [
-        tuple(tuple(a_t[i][j].coeffs[m] if m < a_t[i][j].prec else Fraction(0)
-                    for j in range(k)) for i in range(k))
-        for m in range(p)
-    ]
+    coeff = [smat_coeff(a_t, m) for m in range(p)]
     k_in = len(u_in)
     r_t = coeff[1]
     for i in range(k_in):

@@ -3,25 +3,29 @@
 Unknowns are numbered parameters; linear forms are sparse dicts
 {param: coefficient}.  Feeding an equation eliminates its highest-numbered
 parameter in favour of the others, keeping all stored substitutions fully
-reduced, so recursive order-by-order problems (kernel of a - lambda b,
-equivariant maps into expansion modules) can introduce unknowns lazily and
-let later consistency conditions cut earlier degrees of freedom.
+reduced, so an order-by-order problem can introduce unknowns lazily and let
+later consistency conditions cut earlier degrees of freedom.  Its one user
+is ``decomposition._solve_equivariance``, the equivariant-map solver behind
+both eigen-elements (maps from E_lambda) and embeddings into expansion
+modules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+_ZERO = Fraction(0)
 
-def form_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for p, c in b.items():
-        v = out.get(p, Fraction(0)) + c
+
+def form_add(acc: dict, form: dict) -> dict:
+    """Add *form* into *acc* in place and return *acc*."""
+    for p, c in form.items():
+        v = acc.get(p, _ZERO) + c
         if v:
-            out[p] = v
+            acc[p] = v
         else:
-            out.pop(p, None)
-    return out
+            acc.pop(p, None)
+    return acc
 
 
 def form_scale(a: dict, c: Fraction) -> dict:
@@ -35,7 +39,6 @@ class ParamSolver:
         self._subs: dict[int, dict[int, Fraction]] = {}
         self._tags: dict[int, int] = {}
         self._count = 0
-        self.inconsistent = False
 
     def new_param(self, tag=0) -> int:
         p = self._count
@@ -58,14 +61,14 @@ class ParamSolver:
                 continue
             sub = self._subs.get(p)
             if sub is None:
-                v = out.get(p, Fraction(0)) + c
+                v = out.get(p, _ZERO) + c
                 if v:
                     out[p] = v
                 else:
                     out.pop(p, None)
             else:
                 for q, d in sub.items():
-                    v = out.get(q, Fraction(0)) + c * d
+                    v = out.get(q, _ZERO) + c * d
                     if v:
                         out[q] = v
                     else:
@@ -87,7 +90,7 @@ class ParamSolver:
                 continue
             coeff = g.pop(pivot)
             for r, d in sub.items():
-                v = g.get(r, Fraction(0)) + coeff * d
+                v = g.get(r, _ZERO) + coeff * d
                 if v:
                     g[r] = v
                 else:
@@ -107,7 +110,7 @@ class ParamSolver:
         The form is not reduced again: reduce each form once after the last
         equation, then evaluate it at as many assignments as needed.
         """
-        acc = Fraction(0)
+        acc = _ZERO
         for p, c in form.items():
             a = assignment.get(p)
             if a:

@@ -367,6 +367,11 @@ def smat_from_const(m, prec):
     return tuple(tuple(TruncSeries.constant(c, prec) for c in row) for row in m)
 
 
+def smat_coeff(mat, m):
+    """The constant matrix of the b^m coefficients of a series matrix."""
+    return tuple(tuple(e.coeffs[m] for e in row) for row in mat)
+
+
 def smat_inverse(mat, prec=None):
     """Inverse of a series matrix with invertible constant term."""
     from .qlinalg import inverse as qinverse, mat_mul as qmat_mul
@@ -375,10 +380,7 @@ def smat_inverse(mat, prec=None):
     p = min(e.prec for row in mat for e in row)
     if prec is not None:
         p = min(p, prec)
-    coeff = [
-        tuple(tuple(row[j].coeffs[n] for j in range(k)) for row in mat)
-        for n in range(p)
-    ]
+    coeff = [smat_coeff(mat, n) for n in range(p)]
     c0inv = qinverse(coeff[0])
     out_coeffs = [c0inv]
     for n in range(1, p):

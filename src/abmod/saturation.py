@@ -57,7 +57,10 @@ def saturate(module: AbModule, max_iter=None) -> SaturationResult:
 
     The result is kept on the module.  A later call with a *max_iter*
     below its step count runs again, so it raises as a run under that cap.
+    A negative *max_iter* is rejected with ValueError.
     """
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     known = module.memo.get("saturate")
     if known is not None and (max_iter is None or known.steps <= max_iter):
         return known

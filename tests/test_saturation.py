@@ -8,6 +8,7 @@ import pytest
 from abmod import (HostMismatch, NotRegular, TruncSeries,
                    bernstein_polynomial, build_xi_tensor, is_geometric, module_e_lambda,
                    module_from_matrix, saturate, xi_module)
+from abmod.frescos import FrescoPresentation, fresco_from_presentation
 from abmod.lattices import _reduce_vectors
 from abmod.modules import module_from_left_form
 
@@ -90,6 +91,13 @@ class TestMemo:
             saturate(theme_module(), max_iter=s - 1)
         assert str(cached.value) == str(fresh.value)
         assert saturate(m, max_iter=s) is saturate(m)
+
+    def test_negative_cap_is_rejected_before_the_memo(self):
+        fr = fresco_from_presentation(
+            FrescoPresentation([(F(3, 2), 1), (F(1, 2), 1)], P), P)
+        saturate(fr.module)
+        with pytest.raises(ValueError):
+            saturate(fr.module, max_iter=-1)
 
 
 class TestBernstein:

@@ -103,6 +103,12 @@ class TestRun:
             == ["NotRegular"] * len(SHOW_COMMANDS)
         assert not run_session(parse_session(text), max_sat_iter=1).failed
 
+    def test_negative_saturation_cap_is_rejected(self):
+        text = ("precision 16\nlet F = fresco [(3/2, 1), (1/2, 1)]\n"
+                "show saturate F\n")
+        with pytest.raises(ValueError):
+            run_session(parse_session(text), max_sat_iter=-1)
+
     @pytest.mark.parametrize("first, then", [("higher_bernstein", "report"),
                                              ("embed", "expansion")])
     def test_later_action_saturates_nothing_new(self, monkeypatch, first, then):
