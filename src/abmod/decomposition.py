@@ -22,7 +22,7 @@ from .lattices import (Lattice, Quotient, full_lattice, is_normal,
                        lattice_reduce, normal_hull, quotient_module,
                        sub_module_structure, kernel_of_series_map,
                        zero_lattice)
-from .linsolve import ParamSolver, form_add, form_scale
+from .linsolve import ParamSolver
 from .modules import (AbModule, derived, module_e_lambda, smat_coeff,
                       smat_from_const, smat_inverse, smat_mul)
 from .qlinalg import (identity, inverse as qinverse, mat_mul, mat_sub,
@@ -45,14 +45,17 @@ def _solve_equivariance(source: AbModule, target: AbModule, cutoff: int):
     """Parametric solution of Phi . A = B . Phi + b^2 Phi' order by order.
 
     Phi is the target.rank x source.rank series matrix of an a-equivariant
-    map source -> target, and A, B are the two a-matrices.  Returns
-    (live, build): the free parameters of tag (order) <= cutoff that the
-    solution depends on, and ``build(assign)``, the matrix Phi when those
-    parameters take the values in *assign* (0 where missing).
+    map source -> target, and A, B are the two a-matrices.  The unknown
+    Phi_n[t][j] (coefficient of b^n) is parameter n*size + t*ks + j, of tag
+    n, where size = kt*ks.  Returns (live, build): the free parameters of
+    tag (order) <= cutoff that the solution depends on, and
+    ``build(assign)``, the matrix Phi when those parameters take the values
+    in *assign* (0 where missing).
     """
     ks, kt = source.rank, target.rank
+    size = kt * ks
     p = min(source.prec, target.prec)
-    # terms[m][t][j]: the nonzero ((r, s), c) with
+    # terms[m][t][j]: the nonzero (r*ks + s, c) with
     # (Phi_{n-m} A_m - B_m Phi_{n-m})_{tj} = sum of c * Phi_{n-m}[r][s];
     # at m = 1 the (t, j) term is kept apart in diag[t][j], because the
     # b^2 Phi' term adds -(n - 1) times the same unknown
@@ -67,30 +70,35 @@ def _solve_equivariance(source: AbModule, target: AbModule, cutoff: int):
                     acc[u, j] = acc.get((u, j), 0) - b[t][u]
                 if m == 1:
                     diag[t][j] = acc.pop((t, j))
-                terms[m][t][j] = [(rs, c) for rs, c in acc.items() if c]
+                terms[m][t][j] = [(r * ks + s, c)
+                                  for (r, s), c in acc.items() if c]
     solver = ParamSolver()
-    phi = [[[{solver.new_param(tag=n): Fraction(1)} for _ in range(ks)]
-            for _ in range(kt)] for n in range(p)]
+    for n in range(p):
+        for _ in range(size):
+            solver.new_param(tag=n)
+    # within one equation every unknown appears once: the (r, s) of one
+    # terms[m][t][j] are distinct, different m reach different orders n - m,
+    # and the diagonal unknown was popped out of terms[1][t][j]
     for n in range(p):
         for t in range(kt):
             for j in range(ks):
                 eq = {}
                 for m in range(n + 1):
-                    prev = phi[n - m]
-                    for (r, s), c in terms[m][t][j]:
-                        form_add(eq, form_scale(prev[r][s], c))
+                    base = (n - m) * size
+                    for rs, c in terms[m][t][j]:
+                        eq[base + rs] = c
                 if n:
-                    form_add(eq, form_scale(phi[n - 1][t][j],
-                                            diag[t][j] + 1 - n))
+                    c = diag[t][j] + 1 - n
+                    if c:
+                        eq[(n - 1) * size + t * ks + j] = c
                 solver.add_equation(eq)
-    phi = [[[solver.reduce(f) for f in row] for row in phi_n] for phi_n in phi]
-    live = [q for q in solver.live_params(f for phi_n in phi for row in phi_n
-                                          for f in row)
-            if solver.tag(q) <= cutoff]
+    phi = [solver.reduce({idx: Fraction(1)}) for idx in range(p * size)]
+    live = [q for q in solver.live_params(phi) if solver.tag(q) <= cutoff]
 
     def build(assign):
         return tuple(
-            tuple(TruncSeries([solver.evaluate(phi[n][t][j], assign)
+            tuple(TruncSeries([solver.evaluate(phi[n * size + t * ks + j],
+                                               assign)
                                for n in range(p)], p) for j in range(ks))
             for t in range(kt))
 
@@ -98,13 +106,18 @@ def _solve_equivariance(source: AbModule, target: AbModule, cutoff: int):
 
 
 def eigen_elements(module: AbModule, lam) -> Lattice:
-    """Solution lattice of (a - lambda b) x = 0, order by order in b.
+    """The lattice spanned by the solutions of (a - lambda b) x = 0, solved
+    order by order in b.
 
     A solution is the image of e under an a-equivariant map E_lambda -> E,
     where a e = lambda b e.  Solutions of the truncated system whose
     valuation exceeds prec // 2 are discarded: their defining constraints
     lie beyond the truncation order, so they are indistinguishable from
-    zero and carry no structure.
+    zero and carry no structure.  Only the span is returned: the reduced
+    basis divides vectors by units, and a unit multiple of a solution is
+    in general not one (on ``fresco [(4/3, 1 - b), (1/3, 1)]`` with
+    lambda = 4/3 the solution (-1/3 b + 1/3 b^2) e0 + (1 - b) e1 becomes
+    the basis vector (-1/3 b) e0 + e1).
     """
     p = module.prec
     cutoff = p // 2

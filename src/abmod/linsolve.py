@@ -8,6 +8,11 @@ later consistency conditions cut earlier degrees of freedom.  Its one user
 is ``decomposition._solve_equivariance``, the equivariant-map solver behind
 both eigen-elements (maps from E_lambda) and embeddings into expansion
 modules.
+
+``form_add`` and ``form_scale`` are the eliminator's row operations:
+``reduce`` adds a multiple of each substitution it applies, and
+``add_equation`` scales the reduced equation into the pivot's substitution
+and adds multiples of it to the stored ones.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ from fractions import Fraction
 _ZERO = Fraction(0)
 
 
-def form_add(acc: dict, form: dict) -> dict:
-    """Add *form* into *acc* in place and return *acc*."""
-    for p, c in form.items():
-        v = acc.get(p, _ZERO) + c
+def form_add(acc: dict, form: dict, c: Fraction | None = None) -> dict:
+    """Add *form*, or ``c * form``, into *acc* in place and return *acc*."""
+    if c is not None and not c:
+        return acc
+    for p, v in form.items():
+        v = acc.get(p, _ZERO) + (v if c is None else c * v)
         if v:
             acc[p] = v
         else:
@@ -66,13 +73,8 @@ class ParamSolver:
                     out[p] = v
                 else:
                     out.pop(p, None)
-            else:
-                for q, d in sub.items():
-                    v = out.get(q, _ZERO) + c * d
-                    if v:
-                        out[q] = v
-                    else:
-                        out.pop(q, None)
+            elif sub:     # most parameters are eliminated to zero
+                form_add(out, sub, c)
         return out
 
     def add_equation(self, form: dict):
@@ -81,20 +83,12 @@ class ParamSolver:
         if not form:
             return
         pivot = max(form)
-        c = form.pop(pivot)
-        sub = {q: -v / c for q, v in form.items()}
+        sub = form_scale(form, -1 / form.pop(pivot))
         self._subs[pivot] = sub
         # keep every stored substitution independent of the pivot
         for q, g in self._subs.items():
-            if q == pivot or pivot not in g:
-                continue
-            coeff = g.pop(pivot)
-            for r, d in sub.items():
-                v = g.get(r, _ZERO) + coeff * d
-                if v:
-                    g[r] = v
-                else:
-                    g.pop(r, None)
+            if q != pivot and pivot in g:
+                form_add(g, sub, g.pop(pivot))
 
     def live_params(self, forms) -> list:
         """Sorted free parameters that the reduced forms depend on."""

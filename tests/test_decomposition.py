@@ -8,16 +8,17 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from abmod import (NotAStable, NotGeometric, TruncSeries,
-                   bernstein_polynomial, class_mod_z, eigen_elements,
-                   higher_bernstein, is_semisimple, module_e_lambda,
-                   module_from_matrix, primitive_split, semisimple_filtration,
-                   semisimple_part, xi_module)
+                   bernstein_polynomial, build_xi_tensor, class_mod_z,
+                   eigen_elements, higher_bernstein, is_semisimple,
+                   module_e_lambda, module_from_matrix, primitive_split,
+                   saturate, semisimple_filtration, semisimple_part,
+                   xi_module)
 from abmod import decomposition
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
 from abmod.lattices import (is_normal, lattice_reduce, sub_module_structure,
                             zero_lattice)
 from abmod.linsolve import ParamSolver, form_add, form_scale
-from abmod.modules import direct_sum
+from abmod.modules import direct_sum, smat_coeff
 
 P = 16
 PROPS = settings(derandomize=True, database=None, deadline=None,
@@ -60,6 +61,8 @@ class TestEigenElements:
         fr = theme()
         lat = eigen_elements(fr.module, F(3, 2))
         assert lat.rank == 1
+        # the theme's units are constant, so its reduced basis vector is a
+        # solution itself; in general only the span is (see eigen_elements)
         for g in lat.basis_elements():
             assert (g.act_a() - g.act_b().scale(F(3, 2))).is_zero_known()
 
@@ -143,6 +146,79 @@ def test_eigen_elements_match_the_reference_solver(case):
     for q in live:
         x = module.element([row[0] for row in build({q: F(1)})])
         assert x.act_a() == x.act_b().scale(lam)
+
+
+def reference_solve_equivariance(source, target, cutoff):
+    """The equivariant-map solver with every equation built by form
+    algebra on one-entry forms, one per unknown; kept as the reference for
+    the table-indexed ``decomposition._solve_equivariance``."""
+    ks, kt = source.rank, target.rank
+    p = min(source.prec, target.prec)
+    terms, diag = [], [[F(0)] * ks for _ in range(kt)]
+    for m in range(p):
+        a, b = smat_coeff(source.a_matrix, m), smat_coeff(target.a_matrix, m)
+        terms.append([[None] * ks for _ in range(kt)])
+        for t in range(kt):
+            for j in range(ks):
+                acc = {(t, i): a[i][j] for i in range(ks)}
+                for u in range(kt):
+                    acc[u, j] = acc.get((u, j), 0) - b[t][u]
+                if m == 1:
+                    diag[t][j] = acc.pop((t, j))
+                terms[m][t][j] = [(rs, c) for rs, c in acc.items() if c]
+    solver = ParamSolver()
+    phi = [[[{solver.new_param(tag=n): F(1)} for _ in range(ks)]
+            for _ in range(kt)] for n in range(p)]
+    for n in range(p):
+        for t in range(kt):
+            for j in range(ks):
+                eq = {}
+                for m in range(n + 1):
+                    prev = phi[n - m]
+                    for (r, s), c in terms[m][t][j]:
+                        form_add(eq, form_scale(prev[r][s], c))
+                if n:
+                    form_add(eq, form_scale(phi[n - 1][t][j],
+                                            diag[t][j] + 1 - n))
+                solver.add_equation(eq)
+    phi = [[[solver.reduce(f) for f in row] for row in phi_n] for phi_n in phi]
+    live = [q for q in solver.live_params(f for phi_n in phi for row in phi_n
+                                          for f in row)
+            if solver.tag(q) <= cutoff]
+
+    def build(assign):
+        return tuple(
+            tuple(TruncSeries([solver.evaluate(phi[n][t][j], assign)
+                               for n in range(p)], p) for j in range(ks))
+            for t in range(kt))
+
+    return live, build
+
+
+@st.composite
+def saturation_and_xi_target(draw):
+    """The saturation of a geometric fresco of rank 1-3 at precision 8-16,
+    and an expansion module over its classes of log depth 0-1 and
+    multiplicity 1-2: the source is multi-column whenever its rank is."""
+    module, _ = draw(fresco_and_lambda())
+    classes = sorted({class_mod_z(-v)
+                      for v, _ in bernstein_polynomial(module).roots})
+    source = saturate(module).module
+    target = build_xi_tensor(classes, draw(st.integers(0, 1)),
+                             draw(st.integers(1, 2)), source.prec)
+    return source, target
+
+
+@settings(PROPS, max_examples=25)
+@given(saturation_and_xi_target())
+def test_solve_equivariance_matches_the_form_algebra_reference(case):
+    source, target = case
+    cutoff = source.prec // 2
+    live, build = decomposition._solve_equivariance(source, target, cutoff)
+    ref_live, ref_build = reference_solve_equivariance(source, target, cutoff)
+    assert live == ref_live
+    for q in live:
+        assert build({q: F(1)}) == ref_build({q: F(1)})
 
 
 class TestSemisimplePart:

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from abmod.linsolve import ParamSolver
+from abmod.linsolve import ParamSolver, form_add, form_scale
 
 PROPS = settings(derandomize=True, database=None, deadline=None,
                  max_examples=60)
@@ -25,17 +25,23 @@ def form(n):
     return st.dictionaries(st.integers(0, n - 1), coeff, max_size=4)
 
 
+def solved(n, equations):
+    """A solver of *n* parameters holding *equations*, fed in order."""
+    solver = ParamSolver()
+    for _ in range(n):
+        solver.new_param()
+    for eq in equations:
+        solver.add_equation(eq)
+    return solver
+
+
 @st.composite
 def system(draw):
     """(solver, forms, values for every parameter, parameter count,
     equations), the solver holding the equations."""
     n = draw(st.integers(1, MAX_PARAMS))
-    solver = ParamSolver()
-    for _ in range(n):
-        solver.new_param()
     equations = draw(st.lists(form(n), max_size=n + 2))
-    for eq in equations:
-        solver.add_equation(eq)
+    solver = solved(n, equations)
     forms = draw(st.lists(form(n), min_size=1, max_size=6))
     assign = {p: draw(value) for p in range(n)}
     return solver, forms, assign, n, equations
@@ -88,3 +94,29 @@ def test_live_params_unchanged_on_reduced_forms(case):
     assert solver.live_params(reduced) == solver.live_params(forms)
     assert solver.live_params(forms) == sorted(
         {p for f in reduced for p in f})
+
+
+@PROPS
+@given(system(), st.randoms(use_true_random=False))
+def test_equation_order_does_not_change_the_solution(case, rnd):
+    # the stored substitutions are the reduced row-echelon form of the
+    # span of the equations (pivot: the largest parameter), which is unique
+    solver, _, _, n, equations = case
+    shuffled = list(equations)
+    rnd.shuffle(shuffled)
+    other = solved(n, shuffled)
+    units = [{p: F(1)} for p in range(n)]
+    assert other.live_params(units) == solver.live_params(units)
+    for u in units:
+        assert other.reduce(u) == solver.reduce(u)
+
+
+@PROPS
+@given(form(MAX_PARAMS), form(MAX_PARAMS), coeff)
+def test_scaled_form_add_is_add_of_the_scaled_form(acc, f, c):
+    assert form_add(dict(acc), f, c) == form_add(dict(acc), form_scale(f, c))
+    assert form_add(dict(acc), f, F(0)) == acc
+    assert form_add(dict(acc), f) == form_add(dict(acc), f, F(1))
+    # c * f cancels against -c * f down to the empty form
+    f = {p: v for p, v in f.items() if v}
+    assert form_add(form_scale(f, -c), f, c) == {}
