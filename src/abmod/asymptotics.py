@@ -10,12 +10,11 @@ computed in closed form on those terms.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (AbmodError, HostMismatch, NoEmbeddingFound,
-                     PrecisionExhausted)
+                     PrecisionExhausted, ValidationFailed)
 from .lattices import _reduce_vectors, lattice_reduce, sub_module_structure
 from .modules import (AbModule, ModuleElement, build_xi_tensor, derived,
                       module_from_matrix, smat_mul, smat_vec)
@@ -105,7 +104,6 @@ class Embedding:
     classes: tuple
     depth: int
     dim_v: int
-    diagnostics: list = field(default_factory=list)
 
     def apply(self, x: ModuleElement) -> ModuleElement:
         if x.host is not self.source:
@@ -131,14 +129,17 @@ def _series_matrix_rank(matrix, dim, prec) -> int:
 
 
 @derived
-def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0) -> Embedding:
+def embed_into_xi(module: AbModule, depth=None, dim_v=None) -> Embedding:
     """Injective equivariant map into an expansion module.
 
     Classes come from the Bernstein roots mod Z; the log depth is searched
     upward (0 .. rank-1) unless forced, and the multiplicity space starts
     at the rank of the semi-simple part.  The unknown coordinate series
-    are solved order by order; parameters are then chosen to make the
-    column rank full over the series fraction field.
+    are solved order by order; the free parameters are then set to each
+    unit vector and to (1, 2, 3, ...) in turn, and the first equivariant
+    choice of full column rank over the series fraction field is returned.
+    The image of an injective equivariant map has the source's Bernstein
+    polynomial, so a mismatch raises ValidationFailed.
     """
     cert = require_geometric(module)
     sat = saturate(module)
@@ -159,7 +160,6 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0) -> Embedding
         dim_candidates = list(range(vmin, k + 1)) or [1]
     depth_candidates = [depth] if depth is not None else list(range(k))
 
-    rng = random.Random(seed)
     searched = []
     for n_depth in depth_candidates:
         for dv in dim_candidates:
@@ -169,14 +169,9 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0) -> Embedding
             if not live:
                 continue
 
-            candidates = []
-            for q in live:
-                candidates.append({q: Fraction(1)})
+            candidates = [{q: Fraction(1)} for q in live]
             candidates.append({q: Fraction(i + 1)
                                for i, q in enumerate(live)})
-            for _ in range(40):
-                candidates.append({q: Fraction(rng.randint(-5, 5))
-                                   for q in live})
             for assign in candidates:
                 mat = build(assign)
                 if _series_matrix_rank(mat, target.rank, prec) < k:
@@ -185,12 +180,11 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None, seed=0) -> Embedding
                                 classes=classes, depth=n_depth, dim_v=dv)
                 if not emb.check_equivariance():
                     continue
-                b_img = _image_bernstein(emb)
-                b_src = bernstein_polynomial(src, mode="minimal")
-                if b_img != b_src:
-                    emb.diagnostics.append(
-                        "image Bernstein polynomial differs from the source")
-                    continue
+                if _image_bernstein(emb) != bernstein_polynomial(
+                        src, mode="minimal"):
+                    raise ValidationFailed(
+                        "image Bernstein polynomial differs from the source "
+                        f"for (depth, dimV) = {(n_depth, dv)}")
                 return _compose_with_inclusion(module, sat, emb)
     raise NoEmbeddingFound(
         "no injective equivariant map found; searched (depth, dimV) pairs "
@@ -210,8 +204,7 @@ def _compose_with_inclusion(module: AbModule, sat, emb: Embedding) -> Embedding:
     """Pull an embedding of the saturation back to the original module."""
     matrix = smat_mul(emb.matrix, sat.inclusion, emb.target.prec)
     return Embedding(source=module, target=emb.target, matrix=matrix,
-                     classes=emb.classes, depth=emb.depth, dim_v=emb.dim_v,
-                     diagnostics=emb.diagnostics)
+                     classes=emb.classes, depth=emb.depth, dim_v=emb.dim_v)
 
 
 # -- log-power expansions --------------------------------------------------

@@ -32,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sat-iter", type=non_negative_int, default=None,
                    help="cap on saturation steps, for every show action "
                         "(default rank * precision)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized parameter searches")
     p.add_argument("--check", action="store_true",
                    help="treat validation diagnostics as hard errors")
     return p
@@ -54,7 +52,7 @@ def main(argv=None) -> int:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
     report = run_session(session, max_sat_iter=args.max_sat_iter,
-                         seed=args.seed, check=args.check)
+                         check=args.check)
     if args.output == "json":
         sys.stdout.write(report.to_json())
     else:

@@ -3,11 +3,11 @@
 Unknowns are numbered parameters; linear forms are sparse dicts
 {param: coefficient}.  Feeding an equation eliminates its highest-numbered
 parameter in favour of the others, keeping all stored substitutions fully
-reduced, so an order-by-order problem can introduce unknowns lazily and let
-later consistency conditions cut earlier degrees of freedom.  Its one user
-is ``decomposition._solve_equivariance``, the equivariant-map solver behind
+reduced, so equations fed order by order let later consistency conditions
+cut earlier degrees of freedom.  Its one user is
+``decomposition._solve_equivariance``, the equivariant-map solver behind
 both eigen-elements (maps from E_lambda) and embeddings into expansion
-modules.
+modules; it creates every unknown up front and then feeds the equations.
 
 ``form_add`` and ``form_scale`` are the eliminator's row operations:
 ``reduce`` adds a multiple of each substitution it applies, and

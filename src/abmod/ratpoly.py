@@ -8,6 +8,7 @@ splitting; irrational factors are kept unsplit rather than approximated.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .qlinalg import mat_mul, mat_vec, identity, mat_scale, mat_sub, trace, rref
 from .series import convolve, rat, rat_str
@@ -212,9 +213,7 @@ def split_rational_roots(p):
         p = pnorm(p[1:])
 
     while pdeg(p) > 0:
-        den = 1
-        for c in p:
-            den = den * c.denominator // _gcd(den, c.denominator)
+        den = lcm(*[c.denominator for c in p])
         # a0 != 0: zero roots are stripped above and no division restores one
         a0, ak = int(p[0] * den), int(p[-1] * den)
         candidates = (Fraction(sign * pn, qn) for pn in _divisors(a0)
@@ -227,12 +226,6 @@ def split_rational_roots(p):
             roots[r] = roots.get(r, 0) + 1
     out = sorted(roots.items(), key=lambda t: t[0])
     return out, p
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- Bernstein data container ------------------------------------------

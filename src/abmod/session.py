@@ -29,10 +29,6 @@ from .modules import AbModule, build_xi_tensor, module_from_matrix
 from .saturation import bernstein_polynomial, saturate
 from .series import DEFAULT_PREC, TruncSeries, rat, rat_str
 
-SHOW_COMMANDS = ("bernstein", "saturate", "filtration", "higher_bernstein",
-                 "embed", "expansion", "report")
-
-
 @dataclass
 class LetCommand:
     line: int
@@ -271,7 +267,6 @@ class Binding:
 class Report:
     entries: list = field(default_factory=list)
     failed: bool = False
-    diagnostics_seen: bool = False
 
     def to_text(self) -> str:
         lines = []
@@ -298,8 +293,7 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {obj!r}")
 
 
-def run_session(session: Session, max_sat_iter=None, seed=0,
-                check=False) -> Report:
+def run_session(session: Session, max_sat_iter=None, check=False) -> Report:
     report = Report()
     env: dict[str, Binding] = {}
     for cmd in session.commands:
@@ -320,7 +314,7 @@ def run_session(session: Session, max_sat_iter=None, seed=0,
             elif isinstance(cmd, ShowCommand):
                 binding = env[cmd.name]
                 result, text, diagnostics = _show(
-                    cmd.action, binding, max_sat_iter=max_sat_iter, seed=seed)
+                    cmd.action, binding, max_sat_iter=max_sat_iter)
                 entry["result"] = result
                 entry["text"] = text
                 if diagnostics:
@@ -329,10 +323,8 @@ def run_session(session: Session, max_sat_iter=None, seed=0,
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
             report.failed = True
         report.entries.append(entry)
-        if diagnostics:
-            report.diagnostics_seen = True
-            if check:
-                report.failed = True
+        if diagnostics and check:
+            report.failed = True
     return report
 
 
@@ -356,90 +348,107 @@ def _bind(cmd: LetCommand) -> Binding:
     raise AbmodError(f"unknown binding kind {cmd.kind}")
 
 
-def _show(action, binding: Binding, max_sat_iter=None, seed=0):
+def _show(action, binding: Binding, max_sat_iter=None):
+    """(result, text, diagnostics) of one ``show`` command."""
+    # every handler works from this capped saturation, kept on the module
+    saturate(binding.module, max_iter=max_sat_iter)
+    return _SHOW[action](binding)
+
+
+def _show_bernstein(binding):
+    mode = "characteristic" if binding.kind == "fresco" else "minimal"
+    poly = bernstein_polynomial(binding.module, mode=mode)
+    return ({"mode": mode, "polynomial": poly.to_json()},
+            [f"bernstein ({mode}): {poly.render()}"], [])
+
+
+def _show_saturate(binding):
+    sat = saturate(binding.module)
+    text = [f"saturation reached in {sat.steps} step(s); rank "
+            f"{sat.module.rank}",
+            "a-matrix: " + sat.module.render()]
+    return {"steps": sat.steps, "module": sat.module.to_json()}, text, []
+
+
+def _show_filtration(binding):
+    filt = semisimple_filtration(binding.module)
+    text = [f"nilpotent order {filt.nilpotent_order}; "
+            "step ranks " + ", ".join(str(s.rank) for s in filt.steps)]
+    return filt.to_json(), text, list(filt.diagnostics)
+
+
+def _show_higher_bernstein(binding):
+    hb = higher_bernstein(binding.module)
+    text = []
+    for c in hb.classes:
+        lv = "; ".join(f"B_{j} = {p.render()} (delta={d})"
+                       for j, d, p in c.levels)
+        text.append(f"class {rat_str(c.alpha)}: nilpotent order "
+                    f"{c.nilpotent_order}; {lv}")
+    text.append(f"product check: {hb.product_check}; roots simple: "
+                f"{hb.roots_simple}; degrees non-increasing: "
+                f"{hb.degrees_non_increasing}")
+    return hb.to_json(), text, list(hb.diagnostics)
+
+
+def _embedding(binding):
+    """The one embedding search behind ``embed`` and ``expansion``."""
+    return embed_into_xi(binding.module)
+
+
+def _show_embed(binding):
+    emb = _embedding(binding)
+    classes = [rat_str(a) for a in emb.classes]
+    matrix = [[e.render() for e in row] for row in emb.matrix]
+    text = ["embedded into xi with classes " + ", ".join(classes)
+            + f"; depth {emb.depth}; dim V {emb.dim_v}",
+            "matrix: [" + ", ".join("[" + ", ".join(row) + "]"
+                                    for row in matrix) + "]"]
+    return ({"classes": classes, "depth": emb.depth, "dim_v": emb.dim_v,
+             "matrix": matrix}, text, [])
+
+
+def _show_expansion(binding):
     module = binding.module
-    # every action below works from this capped saturation, kept on the module
-    sat = saturate(module, max_iter=max_sat_iter)
-    diagnostics = []
-    if action == "bernstein":
-        mode = "characteristic" if binding.kind == "fresco" else "minimal"
-        poly = bernstein_polynomial(module, mode=mode)
-        text = [f"bernstein ({mode}): {poly.render()}"]
-        return {"mode": mode, "polynomial": poly.to_json()}, text, diagnostics
-    if action == "saturate":
-        text = [f"saturation reached in {sat.steps} step(s); rank "
-                f"{sat.module.rank}",
-                "a-matrix: " + sat.module.render()]
-        return {"steps": sat.steps, "module": sat.module.to_json()}, text, diagnostics
-    if action == "filtration":
-        filt = semisimple_filtration(module)
-        diagnostics.extend(filt.diagnostics)
-        text = [f"nilpotent order {filt.nilpotent_order}; "
-                "step ranks " + ", ".join(str(s.rank) for s in filt.steps)]
-        return filt.to_json(), text, diagnostics
-    if action == "higher_bernstein":
-        hb = higher_bernstein(module)
-        diagnostics.extend(hb.diagnostics)
-        text = []
-        for c in hb.classes:
-            lv = "; ".join(f"B_{j} = {p.render()} (delta={d})"
-                           for j, d, p in c.levels)
-            text.append(f"class {rat_str(c.alpha)}: nilpotent order "
-                        f"{c.nilpotent_order}; {lv}")
-        text.append(f"product check: {hb.product_check}; roots simple: "
-                    f"{hb.roots_simple}; degrees non-increasing: "
-                    f"{hb.degrees_non_increasing}")
-        return hb.to_json(), text, diagnostics
-    if action == "embed":
-        emb = embed_into_xi(module, seed=seed)
-        diagnostics.extend(emb.diagnostics)
-        text = [f"embedded into xi with classes "
-                + ", ".join(rat_str(a) for a in emb.classes)
-                + f"; depth {emb.depth}; dim V {emb.dim_v}",
-                "matrix: [" + ", ".join(
-                    "[" + ", ".join(e.render() for e in row) + "]"
-                    for row in emb.matrix) + "]"]
-        return {"classes": [rat_str(a) for a in emb.classes],
-                "depth": emb.depth, "dim_v": emb.dim_v,
-                "matrix": [[e.render() for e in row] for row in emb.matrix],
-                }, text, diagnostics
-    if action == "expansion":
-        order = 8
-        if binding.kind == "xi":
-            terms_per = []
-            text = []
-            for j in range(module.rank):
-                terms = realize_expansion(module.basis(j), order)
-                terms_per.append([t.to_json() for t in terms])
-                text.append(f"e{j}: " + (" + ".join(t.render() for t in terms)
-                                         or "0"))
-            return {"basis_expansions": terms_per}, text, diagnostics
-        emb = embed_into_xi(module, seed=seed)
-        diagnostics.extend(emb.diagnostics)
-        if binding.kind == "fresco":
-            elems = [("generator", binding.fresco.generator)]
-        else:
-            elems = [(f"e{j}", module.basis(j)) for j in range(module.rank)]
-        out = []
-        text = []
-        for label, el in elems:
-            terms = realize_expansion(emb.apply(el), order)
-            out.append({"element": label, "terms": [t.to_json() for t in terms]})
-            text.append(f"{label}: " + (" + ".join(t.render() for t in terms)
-                                        or "0"))
-        return {"expansions": out}, text, diagnostics
-    if action == "report":
-        rep = singular_term_report(module)
-        diagnostics.extend(rep.diagnostics)
-        text = []
-        for c in rep.classes:
-            text.append(f"class {rat_str(c.alpha)}: nilpotent order "
-                        f"{c.nilpotent_order}; top roots "
-                        + (", ".join(rat_str(r) for r in c.top_roots) or "none"))
-            for e, m, lp in c.terms:
-                log_part = (f"(log|s|^2)^{lp}" if lp > 1 else
-                            "log|s|^2" if lp == 1 else "no logarithm")
-                text.append(f"  predicted term |s|^({rat_str(e)}) * s^{m} * "
-                            f"{log_part}")
-        return rep.to_json(), text, diagnostics
-    raise AbmodError(f"unknown action {action}")
+    if binding.kind == "fresco":
+        elems = [("generator", binding.fresco.generator)]
+    else:
+        elems = [(f"e{j}", module.basis(j)) for j in range(module.rank)]
+    if binding.kind != "xi":
+        emb = _embedding(binding)
+        elems = [(label, emb.apply(el)) for label, el in elems]
+    realized = [realize_expansion(el, 8) for _, el in elems]
+    text = [f"{label}: " + (" + ".join(t.render() for t in ts) or "0")
+            for (label, _), ts in zip(elems, realized)]
+    terms = [[t.to_json() for t in ts] for ts in realized]
+    if binding.kind == "xi":
+        return {"basis_expansions": terms}, text, []
+    return {"expansions": [{"element": label, "terms": ts}
+                           for (label, _), ts in zip(elems, terms)]}, text, []
+
+
+def _show_report(binding):
+    rep = singular_term_report(binding.module)
+    text = []
+    for c in rep.classes:
+        text.append(f"class {rat_str(c.alpha)}: nilpotent order "
+                    f"{c.nilpotent_order}; top roots "
+                    + (", ".join(rat_str(r) for r in c.top_roots) or "none"))
+        for e, m, lp in c.terms:
+            log_part = (f"(log|s|^2)^{lp}" if lp > 1 else
+                        "log|s|^2" if lp == 1 else "no logarithm")
+            text.append(f"  predicted term |s|^({rat_str(e)}) * s^{m} * "
+                        f"{log_part}")
+    return rep.to_json(), text, list(rep.diagnostics)
+
+
+_SHOW = {
+    "bernstein": _show_bernstein,
+    "saturate": _show_saturate,
+    "filtration": _show_filtration,
+    "higher_bernstein": _show_higher_bernstein,
+    "embed": _show_embed,
+    "expansion": _show_expansion,
+    "report": _show_report,
+}
+SHOW_COMMANDS = tuple(_SHOW)

@@ -6,14 +6,15 @@ from fractions import Fraction as F
 import pytest
 
 from abmod import (DiffSystem, HostMismatch, NoEmbeddingFound, NotAStable,
-                   TruncSeries, bernstein_polynomial, embed_into_xi,
-                   from_differential_system, module_e_lambda,
+                   TruncSeries, ValidationFailed, bernstein_polynomial,
+                   embed_into_xi, from_differential_system, module_e_lambda,
                    realize_expansion, singular_term_report, xi_module)
 from abmod import asymptotics
 from abmod.asymptotics import LogPowerFunction, realize_function
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
 from abmod.modules import direct_sum
 from abmod.operators import op_normalize
+from abmod.ratpoly import RationalPolynomial
 
 P = 16
 
@@ -108,6 +109,27 @@ class TestEmbedding:
     def test_flat_embedding_fails_for_log_modules(self):
         with pytest.raises(NoEmbeddingFound):
             embed_into_xi(xi_module(F(1, 2), 1, P), depth=0)
+
+    def test_candidates_are_the_units_and_one_two_three(self, monkeypatch):
+        # the pairs (0, 1) and (0, 2) leave 1 and 2 live parameters: one
+        # unit candidate plus (1), then two unit candidates plus (1, 2)
+        calls = []
+        rank = asymptotics._series_matrix_rank
+
+        def counted(*args):
+            calls.append(args)
+            return rank(*args)
+        monkeypatch.setattr(asymptotics, "_series_matrix_rank", counted)
+        with pytest.raises(NoEmbeddingFound):
+            embed_into_xi(xi_module(F(1, 2), 1, P), depth=0)
+        assert len(calls) == 5
+
+    def test_image_bernstein_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_image_bernstein",
+                            lambda emb: RationalPolynomial.one())
+        with pytest.raises(ValidationFailed) as err:
+            embed_into_xi(module_e_lambda(F(3, 2), P))
+        assert "(0, 1)" in str(err.value)
 
     def test_apply_rejects_foreign_elements(self):
         emb = embed_into_xi(module_e_lambda(F(3, 2), P))

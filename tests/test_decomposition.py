@@ -9,10 +9,10 @@ import pytest
 
 from abmod import (NotAStable, NotGeometric, TruncSeries,
                    bernstein_polynomial, build_xi_tensor, class_mod_z,
-                   eigen_elements, higher_bernstein, is_semisimple,
-                   module_e_lambda, module_from_matrix, primitive_split,
-                   saturate, semisimple_filtration, semisimple_part,
-                   xi_module)
+                   eigen_elements, embed_into_xi, higher_bernstein,
+                   is_semisimple, module_e_lambda, module_from_matrix,
+                   primitive_split, saturate, semisimple_filtration,
+                   semisimple_part, xi_module)
 from abmod import decomposition
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
 from abmod.lattices import (is_normal, lattice_reduce, sub_module_structure,
@@ -109,11 +109,11 @@ def reference_eigen_elements(module, lam):
 
 
 @st.composite
-def fresco_and_lambda(draw):
-    """A geometric fresco of rank 1-3 at precision 8-16 with non-constant
-    units, and lambda = -root + shift for a Bernstein root and a shift in
-    0..prec // 2.  Rank 2 and 3 frescos have no simple pole."""
-    prec = draw(st.integers(8, 16))
+def geometric_fresco(draw, max_prec=16):
+    """The module of a geometric fresco of rank 1-3 at precision
+    8..max_prec with non-constant units.  Rank 2 and 3 frescos have no
+    simple pole."""
+    prec = draw(st.integers(8, max_prec))
     k = draw(st.integers(1, 3))
     factors = []
     for j in range(1, k + 1):
@@ -123,11 +123,18 @@ def fresco_and_lambda(draw):
         c1 = draw(st.sampled_from([F(-1), F(1, 2), F(2)]))
         c2 = draw(st.sampled_from([F(0), F(1), F(-1, 3)]))
         factors.append((lam, TruncSeries([1, c1, c2], prec)))
-    module = fresco_from_presentation(
+    return fresco_from_presentation(
         FrescoPresentation(factors, prec), prec).module
+
+
+@st.composite
+def fresco_and_lambda(draw):
+    """A geometric fresco module, and lambda = -root + shift for a
+    Bernstein root and a shift in 0..prec // 2."""
+    module = draw(geometric_fresco())
     roots = [v for v, _ in bernstein_polynomial(module).roots]
-    lam = -draw(st.sampled_from(roots)) + draw(st.integers(0, prec // 2))
-    return module, lam
+    root = draw(st.sampled_from(roots))
+    return module, -root + draw(st.integers(0, module.prec // 2))
 
 
 @PROPS
@@ -146,6 +153,22 @@ def test_eigen_elements_match_the_reference_solver(case):
     for q in live:
         x = module.element([row[0] for row in build({q: F(1)})])
         assert x.act_a() == x.act_b().scale(lam)
+
+
+@settings(PROPS, max_examples=40)
+@given(geometric_fresco(max_prec=12))
+def test_deterministic_candidates_embed_geometric_frescos(module):
+    """The unit and (1, 2, 3, ...) candidates of embed_into_xi suffice."""
+    # the search runs on the saturation; embedding it directly keeps the
+    # image at the precision its Bernstein polynomial needs
+    sat = saturate(module).module
+    for source in (module, sat):
+        emb = embed_into_xi(source)
+        assert emb.check_equivariance()
+    cols = [emb.apply(sat.basis(j)) for j in range(sat.rank)]
+    image = sub_module_structure(lattice_reduce(cols, host=emb.target))
+    assert bernstein_polynomial(image.module, mode="characteristic") \
+        == bernstein_polynomial(module, mode="characteristic")
 
 
 def reference_solve_equivariance(source, target, cutoff):

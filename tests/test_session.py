@@ -168,7 +168,8 @@ class TestCli:
         golden = (GOLDEN / f"{name}.txt").read_text()
         assert proc1.stdout == golden
 
-    @pytest.mark.parametrize("name", ["worked_theme"])
+    @pytest.mark.parametrize("name", ["worked_theme", "expansions_and_systems",
+                                      "mixed_classes"])
     def test_golden_files_json(self, name):
         proc = self._run(["--output", "json", str(SESSIONS / f"{name}.abm")])
         golden = (GOLDEN / f"{name}.json").read_text()
