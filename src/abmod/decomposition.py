@@ -24,7 +24,7 @@ from .lattices import (Lattice, Quotient, full_lattice, is_normal,
                        zero_lattice)
 from .linsolve import ParamSolver
 from .modules import (AbModule, derived, module_e_lambda, smat_coeff,
-                      smat_from_const, smat_inverse, smat_mul)
+                      smat_from_const, smat_mul)
 from .qlinalg import (identity, inverse as qinverse, mat_mul, mat_sub,
                       mat_scale, nullspace, solve as qsolve)
 from .ratpoly import RationalPolynomial
@@ -316,8 +316,9 @@ def primitive_split(module: AbModule, classes, mode="minimal") -> PrimitiveSplit
     Works on the saturation: the residue is block-split by generalized
     eigenvalue classes, the full series matrix is block-diagonalized by
     solving Sylvester equations order by order (solvable because distinct
-    classes stay disjoint under integer shifts), and the off-class block is
-    pulled back to the module.
+    classes stay disjoint under integer shifts) by a matrix T.  The
+    off-class part is the kernel of the series map (x, y) -> inclusion . x
+    - T_out . y, T_out being the off-class columns of T, projected to x.
     """
     return _primitive_split(
         module, tuple(sorted({class_mod_z(c) for c in classes})), mode)
@@ -424,12 +425,15 @@ def _primitive_split(module: AbModule, cls_set, mode) -> PrimitiveSplit:
                            for n in range(p)], p) for j in range(k))
         for i in range(k))
     t_mat = smat_mul(smat_from_const(cmat, p), h_mat, p)
-    t_inv = smat_inverse(t_mat)
 
-    # rows of T^-1 . inclusion restricted to the in-class block
-    rows = smat_mul(t_inv[:k_in], sat.inclusion, p)
-    kernel = kernel_of_series_map(rows, module.rank, module.prec)
-    e_not = lattice_reduce([module.element(v) for v in kernel], host=module)
+    # x is off-class iff inclusion . x = T_out . y for some y, T_out being
+    # the out-class columns of T: the x-part of the kernel of [incl | -T_out]
+    n = module.rank
+    rows = [tuple(incl) + tuple(-e for e in t_row[k_in:])
+            for incl, t_row in zip(sat.inclusion, t_mat)]
+    kernel = kernel_of_series_map(rows, n + k - k_in, module.prec)
+    e_not = lattice_reduce([module.element(v[:n]) for v in kernel],
+                           host=module)
     if not is_normal(e_not):
         diagnostics.append("off-class kernel lattice is not normal")
     return _checked_split(module, cls_set, e_not, mode, diagnostics)

@@ -32,7 +32,9 @@ def tokenize(text, line=None):
                 j2 = j + 1
                 while j2 < n and text[j2].isdigit():
                     j2 += 1
-                den = int(text[j:j2][1:])
+                den = int(text[j + 1:j2])
+                if den == 0:
+                    raise ParseError("zero denominator", line, j + 2)
                 tokens.append(("num", Fraction(num, den), i))
                 i = j2
             else:

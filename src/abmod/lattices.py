@@ -11,6 +11,8 @@ else.  In the resulting basis, listed in processing order,
 
 which makes membership a straight forward-elimination and keeps the
 valuation-aware precision tracking from ever inventing coefficients.
+The last property is what ``normal_hull`` relies on: it divides each basis
+vector by its pivot power b^(v_j) exactly.
 """
 
 from __future__ import annotations
@@ -244,83 +246,16 @@ def is_normal(lat: Lattice) -> bool:
 def normal_hull(lat: Lattice) -> Lattice:
     """Smallest normal sub-module containing the lattice.
 
-    Computed by Smith reduction over the DVR: row operations are tracked as
-    a running basis change of the host, and the hull is spanned by the new
-    basis directions carrying the pure-power elementary divisors.
+    Dividing each basis vector by its pivot power b^(v_j) is exact (its
+    entries have valuation >= v_j) and turns the pivots into units over
+    the exact zeros at earlier pivots, so the quotients span a normal
+    lattice of the same rank that contains this one: the hull.
     """
-    if lat.is_zero():
-        return lat
-    host = lat.host
-    k = host.rank
-    prec = host.prec
-    r = len(lat.basis)
-    # G[i][j] = coordinate i of generator j
-    G = [[lat.basis[j][i] for j in range(r)] for i in range(k)]
-    # F columns = current host basis expressed in original coordinates
-    F = [[TruncSeries.constant(int(i == j), prec) for j in range(k)]
-         for i in range(k)]
-    done_rows, done_cols = set(), set()
-    divisors = []  # (row index in F, valuation)
-
-    while True:
-        best = None
-        for i in range(k):
-            if i in done_rows:
-                continue
-            for j in range(r):
-                if j in done_cols:
-                    continue
-                v = G[i][j].known_valuation()
-                if v is None:
-                    G[i][j].decided_zero("hull entry")
-                    continue
-                key = (v, i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        v, pi, pj = best
-        unit = G[pi][pj].divide_bpow(v)
-        uinv = unit.invert()
-        for i in range(k):
-            G[i][pj] = uinv.mul_sharp(G[i][pj], cap=prec)
-        G[pi][pj] = TruncSeries.b_power(v, prec)
-        # clear the pivot row (column operations; span preserved)
-        for j in range(r):
-            if j == pj:
-                continue
-            entry = G[pi][j]
-            low, high = entry.split_at(v)
-            if not low.is_zero_known():
-                raise PrecisionExhausted("hull pivot was not minimal")
-            if not high.is_zero_known():
-                for i in range(k):
-                    G[i][j] = G[i][j].sub_mul(high, G[i][pj], cap=prec)
-            G[pi][j] = TruncSeries.zero(prec)
-        # clear the pivot column (row operations; update F by the inverse op)
-        for i in range(k):
-            if i == pi:
-                continue
-            entry = G[i][pj]
-            low, high = entry.split_at(v)
-            if not low.is_zero_known():
-                raise PrecisionExhausted("hull pivot was not minimal")
-            if not high.is_zero_known():
-                # row_i -= high * row_pi  on G; F gets col_pi += high * col_i
-                for j in range(r):
-                    G[i][j] = G[i][j].sub_mul(high, G[pi][j], cap=prec)
-                neg = -high
-                for t in range(k):
-                    F[t][pi] = F[t][pi].sub_mul(neg, F[t][i], cap=prec)
-            G[i][pj] = TruncSeries.zero(prec)
-        done_rows.add(pi)
-        done_cols.add(pj)
-        divisors.append((pi, v))
-
-    gens = []
-    for (pi, v) in divisors:
-        gens.append(ModuleElement(host, tuple(F[t][pi] for t in range(k))))
-    return lattice_reduce(gens, host=host)
+    if lat.rank == lat.host.rank:
+        return full_lattice(lat.host)
+    gens = [tuple(e.divide_bpow(v) for e in g)
+            for g, (_, v) in zip(lat.basis, lat.pivots)]
+    return lattice_reduce(gens, host=lat.host)
 
 
 # -- sub-module structure and quotients ---------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-from fractions import Fraction
 
 from .errors import BadAlpha, HostMismatch, NonSquare, PrecisionExhausted
 from .operators import AbOperator
@@ -370,30 +369,3 @@ def smat_from_const(m, prec):
 def smat_coeff(mat, m):
     """The constant matrix of the b^m coefficients of a series matrix."""
     return tuple(tuple(e.coeffs[m] for e in row) for row in mat)
-
-
-def smat_inverse(mat, prec=None):
-    """Inverse of a series matrix with invertible constant term."""
-    from .qlinalg import inverse as qinverse, mat_mul as qmat_mul
-
-    k = len(mat)
-    p = min(e.prec for row in mat for e in row)
-    if prec is not None:
-        p = min(p, prec)
-    coeff = [smat_coeff(mat, n) for n in range(p)]
-    c0inv = qinverse(coeff[0])
-    out_coeffs = [c0inv]
-    for n in range(1, p):
-        acc = [[Fraction(0)] * k for _ in range(k)]
-        for m in range(1, n + 1):
-            part = qmat_mul(coeff[m], out_coeffs[n - m])
-            for i in range(k):
-                for j in range(k):
-                    acc[i][j] += part[i][j]
-        step = qmat_mul(c0inv, acc)
-        out_coeffs.append(tuple(tuple(-step[i][j] for j in range(k))
-                                for i in range(k)))
-    return tuple(
-        tuple(TruncSeries([out_coeffs[n][i][j] for n in range(p)], p)
-              for j in range(k))
-        for i in range(k))

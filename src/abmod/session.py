@@ -27,7 +27,7 @@ from .exprparse import parse_poly
 from .frescos import FrescoPresentation, fresco_from_presentation
 from .modules import AbModule, build_xi_tensor, module_from_matrix
 from .saturation import bernstein_polynomial, saturate
-from .series import DEFAULT_PREC, TruncSeries, rat, rat_str
+from .series import DEFAULT_PREC, TruncSeries, rat_str
 
 @dataclass
 class LetCommand:
@@ -143,21 +143,16 @@ def _parse_fresco_payload(text, line):
     for item in _split_bracket_list(body, line):
         if not item:
             raise ParseError("empty factor in fresco list", line)
+        pieces = [item]
         if item.startswith("("):
             inner = _strip_outer(item, "(", ")", line)
             pieces = _split_bracket_list(inner, line)
-            if len(pieces) == 1:
-                lam = rat(pieces[0])
-                unit = (Fraction(1),)
-            elif len(pieces) == 2:
-                lam = _parse_rational(pieces[0], line)
-                unit = parse_poly(pieces[1], "b", line)
-            else:
+            if len(pieces) not in (1, 2):
                 raise ParseError("fresco factor needs (lambda) or (lambda, unit)",
                                  line)
-        else:
-            lam = _parse_rational(item, line)
-            unit = (Fraction(1),)
+        lam = _parse_rational(pieces[0], line)
+        unit = (parse_poly(pieces[1], "b", line) if len(pieces) == 2
+                else (Fraction(1),))
         factors.append((lam, unit))
     return factors
 

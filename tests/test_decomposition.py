@@ -3,7 +3,7 @@ higher Bernstein polynomials."""
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import pytest
 
@@ -19,6 +19,8 @@ from abmod.lattices import (is_normal, lattice_reduce, sub_module_structure,
                             zero_lattice)
 from abmod.linsolve import ParamSolver, form_add, form_scale
 from abmod.modules import direct_sum, smat_coeff
+
+from strategies import geometric_fresco
 
 P = 16
 PROPS = settings(derandomize=True, database=None, deadline=None,
@@ -106,25 +108,6 @@ def reference_eigen_elements(module, lam):
         if not elem.is_zero_known() and elem.valuation_lower_bound() <= cutoff:
             sols.append(elem)
     return lattice_reduce(sols, host=module)
-
-
-@st.composite
-def geometric_fresco(draw, max_prec=16):
-    """The module of a geometric fresco of rank 1-3 at precision
-    8..max_prec with non-constant units.  Rank 2 and 3 frescos have no
-    simple pole."""
-    prec = draw(st.integers(8, max_prec))
-    k = draw(st.integers(1, 3))
-    factors = []
-    for j in range(1, k + 1):
-        # lambda_j + j - k > 0 keeps every product-formula root negative
-        lam = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(1)])) \
-            + (k - j) + draw(st.integers(0, 1))
-        c1 = draw(st.sampled_from([F(-1), F(1, 2), F(2)]))
-        c2 = draw(st.sampled_from([F(0), F(1), F(-1, 3)]))
-        factors.append((lam, TruncSeries([1, c1, c2], prec)))
-    return fresco_from_presentation(
-        FrescoPresentation(factors, prec), prec).module
 
 
 @st.composite
@@ -386,6 +369,35 @@ class TestPrimitiveSplit:
                         if class_mod_z(-v) == alpha]
             assert part_poly.roots == tuple(expected)
             assert not split.diagnostics
+
+
+@settings(PROPS, max_examples=60)
+@given(geometric_fresco())
+def test_primitive_split_separates_the_classes(module):
+    """For each class alpha of the Bernstein roots, the off-class part is
+    normal and carries exactly the off-class roots, and the quotient
+    exactly the in-class ones."""
+    roots = bernstein_polynomial(module, mode="characteristic").roots
+    for alpha in sorted({class_mod_z(-v) for v, _ in roots}):
+        in_roots = tuple((v, m) for v, m in roots if class_mod_z(-v) == alpha)
+        off_count = sum(m for v, m in roots if class_mod_z(-v) != alpha)
+        try:
+            split = primitive_split(module, {alpha}, mode="characteristic")
+        except NotAStable:
+            # open defect: a sign error in the Sylvester blocks of T leaves
+            # the off-class part not always a-stable (ROADMAP item 1)
+            event("primitive split raised NotAStable")
+            continue
+        assert not split.diagnostics
+        assert is_normal(split.not_part)
+        assert split.not_part.rank == off_count
+        if off_count:
+            sub = sub_module_structure(split.not_part).module
+            off_roots = bernstein_polynomial(sub, mode="characteristic").roots
+            assert all(class_mod_z(-v) != alpha for v, _ in off_roots)
+            event("non-trivial split")
+        assert bernstein_polynomial(split.part_module,
+                                    mode="characteristic").roots == in_roots
 
 
 class TestFiltrationSplitCompatibility:

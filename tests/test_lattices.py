@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+from hypothesis import event, given, settings, strategies as st
+
 import pytest
 
 from abmod import (NotAStable, NotNormal, PrecisionExhausted, TruncSeries,
@@ -9,7 +11,9 @@ from abmod import (NotAStable, NotNormal, PrecisionExhausted, TruncSeries,
                    quotient_module, xi_module)
 from abmod.lattices import (is_normal, kernel_of_series_map,
                             sub_module_structure, zero_lattice)
-from abmod.modules import direct_sum
+from abmod.modules import ModuleElement, direct_sum
+
+from strategies import geometric_fresco
 
 P = 10
 
@@ -124,6 +128,113 @@ class TestNormalHull:
         coords = hull.member_coords(g)
         assert coords is not None
         assert all(c.valuation_lower_bound() >= 1 for c in coords)
+
+
+def reference_normal_hull(lat):
+    """The normal hull by Smith reduction over the DVR, kept as the
+    reference for normal_hull: row operations are tracked as a running
+    basis change F of the host, and the hull is spanned by the new basis
+    directions carrying the elementary divisors."""
+    if lat.is_zero():
+        return lat
+    host = lat.host
+    k = host.rank
+    prec = host.prec
+    r = len(lat.basis)
+    # G[i][j] = coordinate i of generator j
+    G = [[lat.basis[j][i] for j in range(r)] for i in range(k)]
+    # F columns = current host basis expressed in original coordinates
+    F = [[TruncSeries.constant(int(i == j), prec) for j in range(k)]
+         for i in range(k)]
+    done_rows, done_cols = set(), set()
+    divisors = []  # row index in F per elementary divisor
+
+    while True:
+        best = None
+        for i in range(k):
+            if i in done_rows:
+                continue
+            for j in range(r):
+                if j in done_cols:
+                    continue
+                v = G[i][j].known_valuation()
+                if v is None:
+                    G[i][j].decided_zero("hull entry")
+                    continue
+                key = (v, i, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        v, pi, pj = best
+        uinv = G[pi][pj].divide_bpow(v).invert()
+        for i in range(k):
+            G[i][pj] = uinv.mul_sharp(G[i][pj], cap=prec)
+        G[pi][pj] = TruncSeries.b_power(v, prec)
+        # clear the pivot row (column operations; span preserved)
+        for j in range(r):
+            if j == pj:
+                continue
+            low, high = G[pi][j].split_at(v)
+            if not low.is_zero_known():
+                raise PrecisionExhausted("hull pivot was not minimal")
+            if not high.is_zero_known():
+                for i in range(k):
+                    G[i][j] = G[i][j].sub_mul(high, G[i][pj], cap=prec)
+            G[pi][j] = TruncSeries.zero(prec)
+        # clear the pivot column (row operations; update F by the inverse op)
+        for i in range(k):
+            if i == pi:
+                continue
+            low, high = G[i][pj].split_at(v)
+            if not low.is_zero_known():
+                raise PrecisionExhausted("hull pivot was not minimal")
+            if not high.is_zero_known():
+                # row_i -= high * row_pi on G; F gets col_pi += high * col_i
+                for j in range(r):
+                    G[i][j] = G[i][j].sub_mul(high, G[pi][j], cap=prec)
+                for t in range(k):
+                    F[t][pi] = F[t][pi].sub_mul(-high, F[t][i], cap=prec)
+            G[i][pj] = TruncSeries.zero(prec)
+        done_rows.add(pi)
+        done_cols.add(pj)
+        divisors.append(pi)
+
+    gens = [ModuleElement(host, tuple(F[t][pi] for t in range(k)))
+            for pi in divisors]
+    return lattice_reduce(gens, host=host)
+
+
+@st.composite
+def partial_lattice(draw):
+    """A lattice in a geometric fresco module at precision <= 12, spanned
+    by 1..max(1, rank - 1) generators with entries b^v (c0 + c1 b + c2 b^2),
+    v in 0..3: mostly of partial rank and not normal."""
+    module = draw(geometric_fresco(max_prec=12))
+    coeff = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2, 3), F(3)])
+    gens = []
+    for _ in range(draw(st.integers(1, max(1, module.rank - 1)))):
+        entries = []
+        for _ in range(module.rank):
+            v = draw(st.integers(0, 3))
+            cs = [draw(coeff) for _ in range(3)]
+            entries.append(TruncSeries([0] * v + cs, module.prec))
+        gens.append(module.element(entries))
+    return lattice_reduce(gens, host=module)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(partial_lattice())
+def test_normal_hull_matches_the_smith_reference(lat):
+    if lat.rank < lat.host.rank:
+        event("partial rank")
+    if not is_normal(lat):
+        event("non-normal input")
+    hull = normal_hull(lat)
+    assert hull.eq(reference_normal_hull(lat))
+    assert is_normal(hull)
+    assert hull.rank == lat.rank
+    assert hull.contains(lat)
 
 
 class TestQuotient:

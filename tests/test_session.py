@@ -39,6 +39,17 @@ class TestParse:
             parse_session("let X = xi 1/2 0\nfrobnicate\n")
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("text, col", [
+        ("let F = fresco [(x)]", 1),
+        ("let F = fresco [(1/0, 1)]", 3),
+        ("let M = module [[1/0]]", 3),
+        ("let F = fresco [(3/2, 1 + 1/0*b)]", 7),
+    ])
+    def test_malformed_rational(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_session(text + "\n")
+        assert (err.value.line, err.value.col) == (1, col)
+
     def test_comments_and_blanks(self):
         s = parse_session("# nothing\n\nlet X = xi 1/2 0  # trailing\n")
         assert len(s.commands) == 1
