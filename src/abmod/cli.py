@@ -10,12 +10,15 @@ from .series import DEFAULT_PREC
 from .session import parse_session, run_session
 
 
-def non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"    # argparse's "invalid int value" message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,10 +29,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "filtrations, embeddings and log-power expansions")
     p.add_argument("session", nargs="?", default="-",
                    help="session file (default: standard input)")
-    p.add_argument("--precision", type=int, default=DEFAULT_PREC,
+    p.add_argument("--precision", type=int_at_least(2), default=DEFAULT_PREC,
                    help="default series precision for the session")
     p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument("--max-sat-iter", type=non_negative_int, default=None,
+    p.add_argument("--max-sat-iter", type=int_at_least(0), default=None,
                    help="cap on saturation steps, for every show action "
                         "(default rank * precision)")
     p.add_argument("--check", action="store_true",
@@ -44,10 +47,9 @@ def main(argv=None) -> int:
     else:
         with open(args.session, "r", encoding="utf-8") as fh:
             text = fh.read()
-    if args.precision != DEFAULT_PREC:
-        text = f"precision {args.precision}\n" + text
     try:
-        session = parse_session(text)
+        session = parse_session(
+            text, args.precision if args.precision != DEFAULT_PREC else None)
     except AbmodError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2

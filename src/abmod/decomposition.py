@@ -41,6 +41,34 @@ def class_mod_z(x) -> Fraction:
 
 # -- equivariant maps and eigen elements ------------------------------------
 
+@derived
+def _target_table(target: AbModule, ks: int):
+    """The target's half of the equivariance table for sources of rank ks.
+
+    Returns (rows, diag).  Equation (t, j) of order n is row tj = t*ks + j;
+    the coefficient of the unknown Phi_{n-m}[r][s] from -B_m Phi_{n-m} is
+    ``rows[tj][(m + 1)*size - 1 - (r*ks + s)]``, so the unknown numbered q
+    sits at ``rows[tj][(n + 1)*size - 1 - q]`` in every order-n equation.
+    The m = 1 diagonal (r, s) = (t, j) is 0 in rows and -B_1[t][t] in
+    diag[tj].  Shared by every solve into *target*: never mutated.
+    """
+    kt, p = target.rank, target.prec
+    size = kt * ks
+    rows = [[0] * (p * size) for _ in range(size)]
+    diag = [None] * size
+    for m in range(p):
+        b = smat_coeff(target.a_matrix, m)
+        for t in range(kt):
+            for j in range(ks):
+                row = rows[t * ks + j]
+                for u in range(kt):
+                    if m == 1 and u == t:
+                        diag[t * ks + j] = -b[t][t]
+                    elif b[t][u]:
+                        row[(m + 1) * size - 1 - (u * ks + j)] = -b[t][u]
+    return tuple(map(tuple, rows)), tuple(diag)
+
+
 def _solve_equivariance(source: AbModule, target: AbModule, cutoff: int):
     """Parametric solution of Phi . A = B . Phi + b^2 Phi' order by order.
 
@@ -51,48 +79,60 @@ def _solve_equivariance(source: AbModule, target: AbModule, cutoff: int):
     tag (order) <= cutoff that the solution depends on, and
     ``build(assign)``, the matrix Phi when those parameters take the values
     in *assign* (0 where missing).
+
+    The coefficient table is the target's half (``_target_table``, built
+    once per target and source rank) plus the source's A_m entries.  A
+    source that only has a diagonal A_1, such as E_lambda, adds to diag
+    alone, so every eigen solve into one module shares its table.  Each
+    order-n equation is written over the unknowns of order <= n that are
+    not eliminated to zero (``ParamSolver.zero``), a list refiltered once
+    per order; the unknowns eliminated within the order stay in it, which
+    is exact, since ``reduce`` drops them.
     """
     ks, kt = source.rank, target.rank
     size = kt * ks
     p = min(source.prec, target.prec)
-    # terms[m][t][j]: the nonzero (r*ks + s, c) with
-    # (Phi_{n-m} A_m - B_m Phi_{n-m})_{tj} = sum of c * Phi_{n-m}[r][s];
-    # at m = 1 the (t, j) term is kept apart in diag[t][j], because the
-    # b^2 Phi' term adds -(n - 1) times the same unknown
-    terms, diag = [], [[Fraction(0)] * ks for _ in range(kt)]
+    rows, diag = _target_table(target, ks)
+    diag = list(diag)
+    own = None
     for m in range(p):
-        a, b = smat_coeff(source.a_matrix, m), smat_coeff(target.a_matrix, m)
-        terms.append([[None] * ks for _ in range(kt)])
-        for t in range(kt):
+        a = smat_coeff(source.a_matrix, m)
+        for i in range(ks):
             for j in range(ks):
-                acc = {(t, i): a[i][j] for i in range(ks)}
-                for u in range(kt):
-                    acc[u, j] = acc.get((u, j), 0) - b[t][u]
-                if m == 1:
-                    diag[t][j] = acc.pop((t, j))
-                terms[m][t][j] = [(r * ks + s, c)
-                                  for (r, s), c in acc.items() if c]
+                c = a[i][j]
+                if not c:
+                    continue
+                for t in range(kt):
+                    if m == 1 and i == j:
+                        diag[t * ks + j] += c
+                        continue
+                    if own is None:
+                        rows = own = [list(r) for r in rows]
+                    own[t * ks + j][(m + 1) * size - 1 - (t * ks + i)] += c
     solver = ParamSolver()
     for n in range(p):
         for _ in range(size):
             solver.new_param(tag=n)
-    # within one equation every unknown appears once: the (r, s) of one
-    # terms[m][t][j] are distinct, different m reach different orders n - m,
-    # and the diagonal unknown was popped out of terms[1][t][j]
+    zero = solver.zero
+    unknowns = []
     for n in range(p):
-        for t in range(kt):
-            for j in range(ks):
-                eq = {}
-                for m in range(n + 1):
-                    base = (n - m) * size
-                    for rs, c in terms[m][t][j]:
-                        eq[base + rs] = c
-                if n:
-                    c = diag[t][j] + 1 - n
-                    if c:
-                        eq[(n - 1) * size + t * ks + j] = c
-                solver.add_equation(eq)
-    phi = [solver.reduce({idx: Fraction(1)}) for idx in range(p * size)]
+        unknowns = [q for q in unknowns if q not in zero]
+        unknowns.extend(range(n * size, (n + 1) * size))
+        off = (n + 1) * size - 1
+        for tj in range(size):
+            row = rows[tj]
+            eq = {}
+            for q in unknowns:
+                c = row[off - q]
+                if c:
+                    eq[q] = c
+            if n:
+                c = diag[tj] - (n - 1)
+                if c:
+                    eq[(n - 1) * size + tj] = c
+            solver.add_equation(eq)
+    one = Fraction(1)
+    phi = [solver.reduce({idx: one}) for idx in range(p * size)]
     live = [q for q in solver.live_params(phi) if solver.tag(q) <= cutoff]
 
     def build(assign):
@@ -394,15 +434,15 @@ def _primitive_split(module: AbModule, cls_set, mode) -> PrimitiveSplit:
             for i in range(k):
                 for j in range(k):
                     kmat[i][j] += part[i][j]
-        # off-diagonal blocks of H_{n-1} from Sylvester equations
+        # off-diagonal blocks of H_{n-1}: (R_ii + n - 1) X - X R_oo = K_n
         hn = [[Fraction(0)] * k for _ in range(k)]
-        k_io = tuple(tuple(-kmat[i][j] for j in range(k_in, k))
+        k_io = tuple(tuple(kmat[i][j] for j in range(k_in, k))
                      for i in range(k_in))
         x_io = _sylvester_solve(r_ii, r_oo, Fraction(n - 1), k_io)
         for i in range(k_in):
             for j in range(k - k_in):
                 hn[i][k_in + j] = x_io[i][j]
-        k_oi = tuple(tuple(-kmat[i][j] for j in range(k_in))
+        k_oi = tuple(tuple(kmat[i][j] for j in range(k_in))
                      for i in range(k_in, k))
         x_oi = _sylvester_solve(r_oo, r_ii, Fraction(n - 1), k_oi)
         for i in range(k - k_in):

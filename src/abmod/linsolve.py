@@ -4,15 +4,27 @@ Unknowns are numbered parameters; linear forms are sparse dicts
 {param: coefficient}.  Feeding an equation eliminates its highest-numbered
 parameter in favour of the others, keeping all stored substitutions fully
 reduced, so equations fed order by order let later consistency conditions
-cut earlier degrees of freedom.  Its one user is
+cut earlier degrees of freedom.  The stored substitutions are the unique
+reduced row-echelon form of the span of the equations (pivot: the largest
+parameter), whatever equivalent equations were fed.  Its one user is
 ``decomposition._solve_equivariance``, the equivariant-map solver behind
 both eigen-elements (maps from E_lambda) and embeddings into expansion
 modules; it creates every unknown up front and then feeds the equations.
 
+Two indexes keep the work to the entries that can change:
+
+* ``zero`` is the set of parameters eliminated to zero (substitution
+  ``{}``).  It only grows: an empty substitution holds no parameter, so no
+  later pivot touches it.  A caller may leave these parameters out of its
+  equations, since the span of the equations does not change.
+* ``_holders[q]`` is the set of eliminated parameters whose substitution
+  holds the free parameter q, so a new pivot updates exactly the
+  substitutions that hold it.
+
 ``form_add`` and ``form_scale`` are the eliminator's row operations:
 ``reduce`` adds a multiple of each substitution it applies, and
 ``add_equation`` scales the reduced equation into the pivot's substitution
-and adds multiples of it to the stored ones.
+and adds multiples of it to the stored ones that hold the pivot.
 """
 
 from __future__ import annotations
@@ -44,8 +56,10 @@ def form_scale(a: dict, c: Fraction) -> dict:
 class ParamSolver:
     def __init__(self):
         self._subs: dict[int, dict[int, Fraction]] = {}
+        self._holders: dict[int, set[int]] = {}
         self._tags: dict[int, int] = {}
         self._count = 0
+        self.zero: set[int] = set()
 
     def new_param(self, tag=0) -> int:
         p = self._count
@@ -63,16 +77,21 @@ class ParamSolver:
         returns an equal form until the next equation is added.
         """
         out = {}
+        subs = self._subs
         for p, c in form.items():
             if not c:
                 continue
-            sub = self._subs.get(p)
+            sub = subs.get(p)
             if sub is None:
-                v = out.get(p, _ZERO) + c
-                if v:
-                    out[p] = v
+                v = out.get(p)
+                if v is None:
+                    out[p] = c
                 else:
-                    out.pop(p, None)
+                    v += c
+                    if v:
+                        out[p] = v
+                    else:
+                        del out[p]
             elif sub:     # most parameters are eliminated to zero
                 form_add(out, sub, c)
         return out
@@ -85,10 +104,23 @@ class ParamSolver:
         pivot = max(form)
         sub = form_scale(form, -1 / form.pop(pivot))
         self._subs[pivot] = sub
+        holders = self._holders
+        if sub:
+            for q in sub:
+                holders.setdefault(q, set()).add(pivot)
+        else:
+            self.zero.add(pivot)
         # keep every stored substitution independent of the pivot
-        for q, g in self._subs.items():
-            if q != pivot and pivot in g:
-                form_add(g, sub, g.pop(pivot))
+        for h in holders.pop(pivot, ()):
+            g = self._subs[h]
+            form_add(g, sub, g.pop(pivot))
+            for q in sub:
+                if q in g:
+                    holders[q].add(h)
+                else:
+                    holders[q].discard(h)
+            if not g:
+                self.zero.add(h)
 
     def live_params(self, forms) -> list:
         """Sorted free parameters that the reduced forms depend on."""

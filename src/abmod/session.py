@@ -178,10 +178,16 @@ def _parse_matrix_payload(text, var, line):
     return rows
 
 
-def parse_session(text: str) -> Session:
+def parse_session(text: str, precision: int | None = None) -> Session:
+    """The commands of *text*.  A *precision* (>= 2) acts as a ``precision``
+    statement before the first line, which the session reports as its
+    first command (line 0); the lines of *text* keep their numbers."""
     commands = []
     names = set()
-    precision = DEFAULT_PREC
+    if precision is None:
+        precision = DEFAULT_PREC
+    else:
+        commands.append(PrecisionCommand(0, precision))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -227,6 +227,41 @@ def test_solve_equivariance_matches_the_form_algebra_reference(case):
         assert build({q: F(1)}) == ref_build({q: F(1)})
 
 
+@st.composite
+def fresco_and_lambdas(draw):
+    """A geometric fresco module (no simple pole from rank 2 on) and three
+    consecutive candidate lambdas -root + shift, -root + shift + 1, ..."""
+    module, lam = draw(fresco_and_lambda())
+    return module, [lam + i for i in range(3)]
+
+
+@settings(PROPS, max_examples=20)
+@given(fresco_and_lambdas())
+def test_consecutive_solves_share_an_unchanged_target_table(case):
+    """Eigen solves at lambda, lambda + 1, ... and a solve from the
+    saturation, all into one module, each match the reference: no lambda
+    and no source entry leaks through the target's shared table."""
+    module, lams = case
+    p = module.prec
+    cutoff = p // 2
+    sat = saturate(module).module
+    tables = {ks: decomposition._target_table(module, ks)
+              for ks in (1, sat.rank)}
+    sources = []
+    for lam in lams:
+        sources += [module_e_lambda(lam, p), sat]
+    for source in sources:
+        live, build = decomposition._solve_equivariance(source, module, cutoff)
+        ref_live, ref_build = reference_solve_equivariance(source, module,
+                                                           cutoff)
+        assert live == ref_live
+        for q in live:
+            assert build({q: F(1)}) == ref_build({q: F(1)})
+    for ks, table in tables.items():
+        assert decomposition._target_table(module, ks) is table
+        assert table == decomposition._target_table.__wrapped__(module, ks)
+
+
 class TestSemisimplePart:
     def test_xi_part_is_the_flat_line(self):
         xi = xi_module(F(1, 2), 1, P)
@@ -381,13 +416,7 @@ def test_primitive_split_separates_the_classes(module):
     for alpha in sorted({class_mod_z(-v) for v, _ in roots}):
         in_roots = tuple((v, m) for v, m in roots if class_mod_z(-v) == alpha)
         off_count = sum(m for v, m in roots if class_mod_z(-v) != alpha)
-        try:
-            split = primitive_split(module, {alpha}, mode="characteristic")
-        except NotAStable:
-            # open defect: a sign error in the Sylvester blocks of T leaves
-            # the off-class part not always a-stable (ROADMAP item 1)
-            event("primitive split raised NotAStable")
-            continue
+        split = primitive_split(module, {alpha}, mode="characteristic")
         assert not split.diagnostics
         assert is_normal(split.not_part)
         assert split.not_part.rank == off_count
@@ -398,6 +427,21 @@ def test_primitive_split_separates_the_classes(module):
             event("non-trivial split")
         assert bernstein_polynomial(split.part_module,
                                     mode="characteristic").roots == in_roots
+
+
+def test_gauge_blocks_solve_with_the_right_hand_side_sign():
+    """The off-class blocks of H_{n-1} solve (R_ii + n - 1) X - X R_oo =
+    +K_n; with -K_n both frescos below raised NotAStable."""
+    fr = fresco_from_presentation(
+        FrescoPresentation([(F(3, 2), 1), (F(1, 3), 1)], 40), 40)
+    hb = higher_bernstein(fr)
+    assert hb.product_check and not hb.diagnostics
+    fr = fresco_from_presentation(FrescoPresentation(
+        [(F(3, 2), TruncSeries([1, 1], P)), (F(1, 3), 1)], P), P)
+    for alpha in (F(1, 2), F(1, 3)):
+        split = primitive_split(fr.module, {alpha}, mode="characteristic")
+        assert not split.diagnostics
+        assert split.not_part.rank == split.part_module.rank == 1
 
 
 class TestFiltrationSplitCompatibility:

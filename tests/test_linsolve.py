@@ -112,6 +112,29 @@ def test_equation_order_does_not_change_the_solution(case, rnd):
 
 
 @PROPS
+@given(st.integers(1, MAX_PARAMS).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(form(n), max_size=n + 2))))
+def test_zero_set_and_holder_index_follow_the_substitutions(case):
+    n, equations = case
+    solver = solved(n, [])
+    zero = set()
+    for eq in equations:
+        solver.add_equation(eq)
+        subs = solver._subs
+        # the zero set is exactly the empty substitutions, and only grows
+        assert solver.zero == {p for p, g in subs.items() if not g}
+        assert solver.zero >= zero
+        zero = set(solver.zero)
+        # every parameter of a stored substitution indexes it, and only it
+        held = {}
+        for p, g in subs.items():
+            for q in g:
+                assert q not in subs
+                held.setdefault(q, set()).add(p)
+        assert {q: h for q, h in solver._holders.items() if h} == held
+
+
+@PROPS
 @given(form(MAX_PARAMS), form(MAX_PARAMS), coeff)
 def test_scaled_form_add_is_add_of_the_scaled_form(acc, f, c):
     assert form_add(dict(acc), f, c) == form_add(dict(acc), form_scale(f, c))

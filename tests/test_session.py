@@ -169,6 +169,26 @@ class TestCli:
         assert proc.returncode == 1
         assert "within 0 steps" in proc.stdout
 
+    def test_precision_flag_keeps_the_line_numbers(self):
+        proc = self._run(["--precision", "24"],
+                         stdin="let X = xi 1/2 0\nshow bernstein Y\n")
+        assert proc.returncode == 2
+        assert "name 'Y' is not defined (line 2)" in proc.stderr
+        proc = self._run(["--precision", "24"],
+                         stdin="let X = xi 1/2 0\nshow bernstein X\n")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("> precision 24\n  precision set to 24\n")
+        assert "X: xi of rank 1 at precision 24" in proc.stdout
+
+    def test_precision_below_two_is_a_usage_error(self):
+        for value in ("0", "1", "-3"):
+            proc = self._run(["--precision", value],
+                             stdin="let X = xi 1/2 0\nshow bernstein X\n")
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert f"--precision: must be >= 2, got {value}" in proc.stderr
+            assert "line" not in proc.stderr
+
     @pytest.mark.parametrize("name", ["worked_theme", "expansions_and_systems",
                                       "mixed_classes"])
     def test_golden_files_text(self, name):
