@@ -29,8 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "filtrations, embeddings and log-power expansions")
     p.add_argument("session", nargs="?", default="-",
                    help="session file (default: standard input)")
-    p.add_argument("--precision", type=int_at_least(2), default=DEFAULT_PREC,
-                   help="default series precision for the session")
+    p.add_argument("--precision", type=int_at_least(2), default=None,
+                   help="default series precision for the session "
+                        f"(default {DEFAULT_PREC})")
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.add_argument("--max-sat-iter", type=int_at_least(0), default=None,
                    help="cap on saturation steps, for every show action "
@@ -42,15 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.session == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.session, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
-        session = parse_session(
-            text, args.precision if args.precision != DEFAULT_PREC else None)
-    except AbmodError as exc:
+        if args.session == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.session, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        session = parse_session(text, args.precision)
+    except (AbmodError, OSError, UnicodeDecodeError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
     report = run_session(session, max_sat_iter=args.max_sat_iter,

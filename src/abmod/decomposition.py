@@ -25,8 +25,8 @@ from .lattices import (Lattice, Quotient, full_lattice, is_normal,
 from .linsolve import ParamSolver
 from .modules import (AbModule, derived, module_e_lambda, smat_coeff,
                       smat_from_const, smat_mul)
-from .qlinalg import (identity, inverse as qinverse, mat_mul, mat_sub,
-                      mat_scale, nullspace, solve as qsolve)
+from .qlinalg import (identity, inverse as qinverse, mat_add, mat_mul,
+                      mat_sub, mat_scale, nullspace, solve as qsolve)
 from .ratpoly import RationalPolynomial
 from .saturation import bernstein_polynomial, require_geometric, saturate
 from .series import TruncSeries, rat, rat_str
@@ -353,12 +353,17 @@ def primitive_split(module: AbModule, classes, mode="minimal") -> PrimitiveSplit
     """Split off the largest normal sub-module with no Bernstein root in
     the given classes mod Z; the quotient is primitive for those classes.
 
-    Works on the saturation: the residue is block-split by generalized
-    eigenvalue classes, the full series matrix is block-diagonalized by
-    solving Sylvester equations order by order (solvable because distinct
-    classes stay disjoint under integer shifts) by a matrix T.  The
-    off-class part is the kernel of the series map (x, y) -> inclusion . x
-    - T_out . y, T_out being the off-class columns of T, projected to x.
+    Works on the saturation, whose residue is block-split by generalized
+    eigenvalue classes in a basis C (in-class columns first).  With A the
+    a-matrix in that basis, the off-class columns (X; I) of a gauge
+    transform H that block-diagonalizes A solve the one-sided equation
+
+        A_ii X + A_io + b^2 X' = X B_oo,    B_oo = A_oi X + A_oo,
+
+    order by order as Sylvester equations (solvable because distinct
+    classes stay disjoint under integer shifts).  The off-class part is
+    the kernel of the series map (x, y) -> inclusion . x - T_out . y,
+    T_out = C (X; I), projected to x.
     """
     return _primitive_split(
         module, tuple(sorted({class_mod_z(c) for c in classes})), mode)
@@ -399,84 +404,69 @@ def _primitive_split(module: AbModule, cls_set, mode) -> PrimitiveSplit:
         raise ValidationFailed("generalized eigenspaces do not fill the module")
     cmat = tuple(tuple(col[i] for col in (list(u_in) + list(u_out)))
                  for i in range(k))
-    cinv = qinverse(cmat)
+    t_out = _off_class_columns(sat.module, cmat, len(u_in))
 
-    p = sat.module.prec
-    a_t = smat_mul(smat_mul(smat_from_const(cinv, p), sat.module.a_matrix, p),
-                   smat_from_const(cmat, p), p)
-    coeff = [smat_coeff(a_t, m) for m in range(p)]
-    k_in = len(u_in)
-    r_t = coeff[1]
-    for i in range(k_in):
-        for j in range(k_in, k):
-            if r_t[i][j] or r_t[j][i]:
-                raise ValidationFailed("residue did not block-diagonalize")
-
-    r_ii = tuple(tuple(r_t[i][j] for j in range(k_in)) for i in range(k_in))
-    r_oo = tuple(tuple(r_t[i][j] for j in range(k_in, k)) for i in range(k_in, k))
-
-    h_coeffs = [identity(k)]          # H_0 = I
-    b_coeffs = [None, r_t]            # B_1 = residue
-    for n in range(2, p + 1):
-        # K_n = -sum_{m=2..n} A_m H_{n-m} + sum_{l=1..n-2} H_l B_{n-l}
-        kmat = [[Fraction(0)] * k for _ in range(k)]
-        for m in range(2, n + 1):
-            if m >= p or n - m >= len(h_coeffs):
-                continue
-            part = mat_mul(coeff[m], h_coeffs[n - m])
-            for i in range(k):
-                for j in range(k):
-                    kmat[i][j] -= part[i][j]
-        for l in range(1, n - 1):
-            if l >= len(h_coeffs) or n - l >= len(b_coeffs):
-                continue
-            part = mat_mul(h_coeffs[l], b_coeffs[n - l])
-            for i in range(k):
-                for j in range(k):
-                    kmat[i][j] += part[i][j]
-        # off-diagonal blocks of H_{n-1}: (R_ii + n - 1) X - X R_oo = K_n
-        hn = [[Fraction(0)] * k for _ in range(k)]
-        k_io = tuple(tuple(kmat[i][j] for j in range(k_in, k))
-                     for i in range(k_in))
-        x_io = _sylvester_solve(r_ii, r_oo, Fraction(n - 1), k_io)
-        for i in range(k_in):
-            for j in range(k - k_in):
-                hn[i][k_in + j] = x_io[i][j]
-        k_oi = tuple(tuple(kmat[i][j] for j in range(k_in))
-                     for i in range(k_in, k))
-        x_oi = _sylvester_solve(r_oo, r_ii, Fraction(n - 1), k_oi)
-        for i in range(k - k_in):
-            for j in range(k_in):
-                hn[k_in + i][j] = x_oi[i][j]
-        if n - 1 >= len(h_coeffs):
-            h_coeffs.append(tuple(tuple(r) for r in hn))
-        # diagonal blocks of B_n
-        bn = [[Fraction(0)] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                same_block = (i < k_in) == (j < k_in)
-                if same_block:
-                    bn[i][j] = -kmat[i][j]
-        if n < p:
-            b_coeffs.append(tuple(tuple(r) for r in bn))
-
-    h_mat = tuple(
-        tuple(TruncSeries([h_coeffs[n][i][j] if n < len(h_coeffs) else Fraction(0)
-                           for n in range(p)], p) for j in range(k))
-        for i in range(k))
-    t_mat = smat_mul(smat_from_const(cmat, p), h_mat, p)
-
-    # x is off-class iff inclusion . x = T_out . y for some y, T_out being
-    # the out-class columns of T: the x-part of the kernel of [incl | -T_out]
+    # x is off-class iff inclusion . x = T_out . y for some y: the x-part of
+    # the kernel of [incl | -T_out]
     n = module.rank
-    rows = [tuple(incl) + tuple(-e for e in t_row[k_in:])
-            for incl, t_row in zip(sat.inclusion, t_mat)]
-    kernel = kernel_of_series_map(rows, n + k - k_in, module.prec)
+    rows = [tuple(incl) + tuple(-e for e in t_row)
+            for incl, t_row in zip(sat.inclusion, t_out)]
+    kernel = kernel_of_series_map(rows, n + len(u_out), module.prec)
     e_not = lattice_reduce([module.element(v[:n]) for v in kernel],
                            host=module)
     if not is_normal(e_not):
         diagnostics.append("off-class kernel lattice is not normal")
     return _checked_split(module, cls_set, e_not, mode, diagnostics)
+
+
+def _off_class_columns(module: AbModule, cmat, k_in):
+    """T_out = C (X; I), X solving the one-sided gauge equation of
+    ``primitive_split`` for the a-matrix A of the simple-pole *module* in
+    the basis C, whose first k_in columns are in-class.  With X_0 = 0 and
+    B_oo,1 = R_oo (R = A_1, the residue), order n = 2..p gives
+    (R_ii + n - 1) X_{n-1} - X_{n-1} R_oo = K_n, where
+
+        K_n = -A_{n,io} - sum_{m=2}^{n-1} A_{m,ii} X_{n-m}
+              + sum_{l=1}^{n-2} X_l B_{oo,n-l},
+        B_{oo,n} = A_{n,oo} + sum_{m=2}^{n-1} A_{m,oi} X_{n-m},
+
+    and A_{p,io}, beyond the precision p, is dropped.
+    """
+    p = module.prec
+    k_out = module.rank - k_in
+    a_t = smat_mul(smat_mul(smat_from_const(qinverse(cmat), p),
+                            module.a_matrix, p),
+                   smat_from_const(cmat, p), p)
+    a_ii, a_io, a_oi, a_oo = [], [], [], []
+    for m in range(p):
+        c = smat_coeff(a_t, m)
+        a_ii.append(tuple(r[:k_in] for r in c[:k_in]))
+        a_io.append(tuple(r[k_in:] for r in c[:k_in]))
+        a_oi.append(tuple(r[:k_in] for r in c[k_in:]))
+        a_oo.append(tuple(r[k_in:] for r in c[k_in:]))
+    if any(map(any, a_io[1] + a_oi[1])):
+        raise ValidationFailed("residue did not block-diagonalize")
+
+    zero = ((Fraction(0),) * k_out,) * k_in
+    xs = [zero]
+    b_oo = [None, a_oo[1]]
+    for n in range(2, p + 1):
+        k_n = mat_scale(a_io[n], -1) if n < p else zero
+        for m in range(2, n):
+            k_n = mat_sub(k_n, mat_mul(a_ii[m], xs[n - m]))
+        for l in range(1, n - 1):
+            k_n = mat_add(k_n, mat_mul(xs[l], b_oo[n - l]))
+        if n < p:
+            b_n = a_oo[n]
+            for m in range(2, n):
+                b_n = mat_add(b_n, mat_mul(a_oi[m], xs[n - m]))
+            b_oo.append(b_n)
+        xs.append(_sylvester_solve(a_ii[1], a_oo[1], Fraction(n - 1), k_n))
+
+    x_mat = tuple(tuple(TruncSeries([x[i][j] for x in xs], p)
+                        for j in range(k_out)) for i in range(k_in))
+    return smat_mul(smat_from_const(cmat, p),
+                    x_mat + smat_from_const(identity(k_out), p), p)
 
 
 def _checked_split(module, cls_set, e_not, mode, diagnostics):

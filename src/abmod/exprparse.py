@@ -8,6 +8,7 @@ Returns dense coefficient lists over Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from string import digits
 
 from .errors import ParseError
 from .ratpoly import padd, pmul, pnorm, pscale
@@ -22,15 +23,15 @@ def tokenize(text, line=None):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in digits:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in digits:
                 j += 1
             num = int(text[i:j])
             # a '/' directly between integers is a rational literal
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "/" and j + 1 < n and text[j + 1] in digits:
                 j2 = j + 1
-                while j2 < n and text[j2].isdigit():
+                while j2 < n and text[j2] in digits:
                     j2 += 1
                 den = int(text[j + 1:j2])
                 if den == 0:

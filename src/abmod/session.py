@@ -178,6 +178,11 @@ def _parse_matrix_payload(text, var, line):
     return rows
 
 
+def _natural(word):
+    """The value of a word of ASCII digits, else None."""
+    return int(word) if word.isascii() and word.isdigit() else None
+
+
 def parse_session(text: str, precision: int | None = None) -> Session:
     """The commands of *text*.  A *precision* (>= 2) acts as a ``precision``
     statement before the first line, which the session reports as its
@@ -195,9 +200,9 @@ def parse_session(text: str, precision: int | None = None) -> Session:
         words = line.split()
         head = words[0]
         if head == "precision":
-            if len(words) != 2 or not words[1].isdigit() or int(words[1]) < 2:
+            precision = _natural(words[1]) if len(words) == 2 else None
+            if precision is None or precision < 2:
                 raise ParseError("usage: precision N (N >= 2)", lineno)
-            precision = int(words[1])
             commands.append(PrecisionCommand(lineno, precision))
             continue
         if head == "let":
@@ -220,15 +225,13 @@ def parse_session(text: str, precision: int | None = None) -> Session:
                 if len(parts) not in (2, 3):
                     raise ParseError("usage: xi ALPHA DEPTH [DIM]", lineno)
                 alpha = _parse_rational(parts[0], lineno)
-                if not parts[1].isdigit():
+                depth = _natural(parts[1])
+                if depth is None:
                     raise ParseError("xi depth must be a non-negative integer",
                                      lineno)
-                depth = int(parts[1])
-                dim = 1
-                if len(parts) == 3:
-                    if not parts[2].isdigit() or int(parts[2]) < 1:
-                        raise ParseError("xi dimension must be >= 1", lineno)
-                    dim = int(parts[2])
+                dim = _natural(parts[2]) if len(parts) == 3 else 1
+                if dim is None or dim < 1:
+                    raise ParseError("xi dimension must be >= 1", lineno)
                 payload = (alpha, depth, dim)
             elif kind == "module":
                 payload = _parse_matrix_payload(body, "b", lineno)

@@ -2,6 +2,7 @@
 higher Bernstein polynomials."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 from hypothesis import event, given, settings, strategies as st
 
@@ -18,7 +19,9 @@ from abmod.frescos import FrescoPresentation, fresco_from_presentation
 from abmod.lattices import (is_normal, lattice_reduce, sub_module_structure,
                             zero_lattice)
 from abmod.linsolve import ParamSolver, form_add, form_scale
-from abmod.modules import direct_sum, smat_coeff
+from abmod.modules import (direct_sum, smat_coeff, smat_from_const,
+                           smat_mul)
+from abmod.qlinalg import identity, inverse as qinverse, mat_mul
 
 from strategies import geometric_fresco
 
@@ -442,6 +445,84 @@ def test_gauge_blocks_solve_with_the_right_hand_side_sign():
         split = primitive_split(fr.module, {alpha}, mode="characteristic")
         assert not split.diagnostics
         assert split.not_part.rank == split.part_module.rank == 1
+
+
+def reference_off_class_columns(module, cmat, k_in):
+    """The two-sided gauge recursion: every block of H and the diagonal
+    blocks of B in A_t H + b^2 H' = H B, order by order, then the off-class
+    columns of T = C H.  Kept as the reference for the one-sided
+    ``decomposition._off_class_columns``."""
+    k, p = module.rank, module.prec
+    a_t = smat_mul(smat_mul(smat_from_const(qinverse(cmat), p),
+                            module.a_matrix, p), smat_from_const(cmat, p), p)
+    coeff = [smat_coeff(a_t, m) for m in range(p)]
+    r_t = coeff[1]
+    r_ii = tuple(tuple(r_t[i][j] for j in range(k_in)) for i in range(k_in))
+    r_oo = tuple(tuple(r_t[i][j] for j in range(k_in, k))
+                 for i in range(k_in, k))
+    h_coeffs = [identity(k)]          # H_0 = I
+    b_coeffs = [None, r_t]            # B_1 = residue
+    for n in range(2, p + 1):
+        # K_n = -sum_{m=2..n} A_m H_{n-m} + sum_{l=1..n-2} H_l B_{n-l}
+        kmat = [[F(0)] * k for _ in range(k)]
+        for m in range(2, min(n, p - 1) + 1):
+            part = mat_mul(coeff[m], h_coeffs[n - m])
+            for i in range(k):
+                for j in range(k):
+                    kmat[i][j] -= part[i][j]
+        for l in range(1, n - 1):
+            part = mat_mul(h_coeffs[l], b_coeffs[n - l])
+            for i in range(k):
+                for j in range(k):
+                    kmat[i][j] += part[i][j]
+        # off-diagonal blocks of H_{n-1}: (R_ii + n - 1) X - X R_oo = K_n
+        hn = [[F(0)] * k for _ in range(k)]
+        x_io = decomposition._sylvester_solve(
+            r_ii, r_oo, F(n - 1),
+            tuple(tuple(kmat[i][j] for j in range(k_in, k))
+                  for i in range(k_in)))
+        x_oi = decomposition._sylvester_solve(
+            r_oo, r_ii, F(n - 1),
+            tuple(tuple(kmat[i][j] for j in range(k_in))
+                  for i in range(k_in, k)))
+        for i in range(k_in):
+            for j in range(k - k_in):
+                hn[i][k_in + j] = x_io[i][j]
+                hn[k_in + j][i] = x_oi[j][i]
+        h_coeffs.append(tuple(map(tuple, hn)))
+        # diagonal blocks of B_n
+        if n < p:
+            b_coeffs.append(tuple(
+                tuple(-kmat[i][j] if (i < k_in) == (j < k_in) else F(0)
+                      for j in range(k)) for i in range(k)))
+    h_mat = tuple(tuple(TruncSeries([h[i][j] for h in h_coeffs], p)
+                        for j in range(k)) for i in range(k))
+    t_mat = smat_mul(smat_from_const(cmat, p), h_mat, p)
+    return tuple(row[k_in:] for row in t_mat)
+
+
+@settings(PROPS, max_examples=40)
+@given(geometric_fresco(max_prec=20))
+def test_off_class_columns_match_the_two_sided_reference(module):
+    """For every class of the Bernstein roots, the one-sided recursion
+    gives exactly the off-class columns of the two-sided one."""
+    real = decomposition._off_class_columns
+    calls = []
+
+    def recording(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    roots = bernstein_polynomial(module, mode="characteristic").roots
+    with mock.patch.object(decomposition, "_off_class_columns", recording):
+        for alpha in sorted({class_mod_z(-v) for v, _ in roots}):
+            primitive_split(module, {alpha}, mode="characteristic")
+    for args, t_out in calls:
+        ref = reference_off_class_columns(*args)
+        assert [[(e.coeffs, e.prec) for e in row] for row in t_out] \
+            == [[(e.coeffs, e.prec) for e in row] for row in ref]
+        event("non-trivial split")
 
 
 class TestFiltrationSplitCompatibility:

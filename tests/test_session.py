@@ -50,6 +50,16 @@ class TestParse:
             parse_session(text + "\n")
         assert (err.value.line, err.value.col) == (1, col)
 
+    @pytest.mark.parametrize("text, col", [
+        ("precision \u00b2", None),
+        ("let X = xi 1/2 \u00b2", None),
+        ("let F = fresco [(3/2, 1 + \u00b2*b)]", 5),
+    ], ids=["precision", "xi-depth", "fresco-unit"])
+    def test_non_ascii_digits_are_parse_errors(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_session("\n" + text + "\n")
+        assert (err.value.line, err.value.col) == (2, col)
+
     def test_comments_and_blanks(self):
         s = parse_session("# nothing\n\nlet X = xi 1/2 0  # trailing\n")
         assert len(s.commands) == 1
@@ -188,6 +198,22 @@ class TestCli:
             assert proc.stdout == ""
             assert f"--precision: must be >= 2, got {value}" in proc.stderr
             assert "line" not in proc.stderr
+
+    def test_explicit_default_precision_is_reported(self):
+        proc = self._run(["--precision", "32"],
+                         stdin="let X = xi 1/2 0\nshow bernstein X\n")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("> precision 32\n  precision set to 32\n")
+
+    def test_unreadable_session_file_is_a_usage_error(self, tmp_path):
+        undecodable = tmp_path / "latin1.abm"
+        undecodable.write_bytes(b"# caf\xe9\n")
+        for path in (tmp_path / "missing.abm", tmp_path, undecodable):
+            proc = self._run([str(path)])
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error [")
+            assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("name", ["worked_theme", "expansions_and_systems",
                                       "mixed_classes"])
