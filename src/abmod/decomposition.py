@@ -7,9 +7,12 @@ E_lambda -> E.  They come from the one solver for equivariant maps, which
 the embedding search into expansion modules shares; it finds the map
 coefficient-by-coefficient as an exact linear system.  The algorithmic
 choices the underlying theory leaves open (the eigen-span hull realizing
-the first filtration step, the candidate bound for lambda) are validated
-post hoc; failures surface as diagnostics, and never as silently wrong
-answers.
+the first filtration step, the candidate bound for lambda: negated
+Bernstein roots shifted by 0..prec // 2) are validated post hoc; failures
+surface as diagnostics, and never as silently wrong answers.  The
+candidates are solved only until the first step is decided: a rank-1
+module is its own semi-simple part with no solve, and once the
+eigen-span reaches full rank the remaining candidates are skipped.
 """
 
 from __future__ import annotations
@@ -179,22 +182,38 @@ def semisimple_part(module: AbModule):
     """Normal hull of the span of eigen-elements over all candidate lambdas.
 
     Returns (lattice, diagnostics).  Candidates run over negated Bernstein
-    roots shifted by 0..prec // 2.
+    roots shifted by 0..prec // 2.  The solves stop once the answer is
+    decided:
+
+    - a rank-1 module is isomorphic to some E_lambda, so it is its own
+      part, with no solve (``require_geometric`` reads the residue, so the
+      precision is at least 2 here);
+    - otherwise the candidates are visited by least shift, every unshifted
+      root first, and once the eigen-span has full rank the normal hull is
+      the whole module, whatever the remaining candidates add.
+
+    A span that never reaches full rank gives the hull of all candidates'
+    eigen-elements, taken in root order.
     """
     diagnostics = []
     if module.rank == 0:
         return full_lattice(module), diagnostics
     roots = [v for v, _ in require_geometric(module)["roots"]]
-    lambdas = []
-    for r in sorted(set(roots)):
-        base = -r
-        for m in range(module.prec // 2 + 1):
-            if base + m not in lambdas:
-                lambdas.append(base + m)
-    elems = []
-    for lam in lambdas:
-        lat = eigen_elements(module, lam)
-        elems.extend(lat.basis_elements())
+    if module.rank == 1:
+        return full_lattice(module), diagnostics
+    bases = sorted({-r for r in roots}, reverse=True)
+    shifts = range(module.prec // 2 + 1)
+    found = {}
+    span = zero_lattice(module)
+    for lam in dict.fromkeys(r + m for m in shifts for r in bases):
+        found[lam] = eigen_elements(module, lam).basis_elements()
+        if found[lam]:
+            span = lattice_reduce(span.basis_elements() + found[lam],
+                                  host=module)
+            if span.rank == module.rank:
+                return full_lattice(module), diagnostics
+    # root order, each lambda once
+    elems = [g for r in bases for m in shifts for g in found.pop(r + m, ())]
     if not elems:
         diagnostics.append("no eigen-elements found; semi-simple part is zero")
         return zero_lattice(module), diagnostics

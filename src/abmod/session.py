@@ -154,6 +154,8 @@ def _parse_fresco_payload(text, line):
         unit = (parse_poly(pieces[1], "b", line) if len(pieces) == 2
                 else (Fraction(1),))
         factors.append((lam, unit))
+    if not factors:
+        raise ParseError("fresco needs at least one factor", line)
     return factors
 
 
@@ -316,7 +318,10 @@ def run_session(session: Session, max_sat_iter=None, check=False) -> Report:
                                    "rank": b.module.rank,
                                    "prec": b.module.prec}
             elif isinstance(cmd, ShowCommand):
-                binding = env[cmd.name]
+                binding = env.get(cmd.name)
+                if binding is None:
+                    raise UnknownName(
+                        f"name {cmd.name!r} has no value: its let failed")
                 result, text, diagnostics = _show(
                     cmd.action, binding, max_sat_iter=max_sat_iter)
                 entry["result"] = result

@@ -9,11 +9,11 @@ from abmod.frescos import FrescoPresentation, fresco_from_presentation
 
 
 @st.composite
-def geometric_fresco(draw, max_prec=16):
+def geometric_fresco(draw, max_prec=16, min_prec=8):
     """The module of a geometric fresco of rank 1-3 at precision
-    8..max_prec with non-constant units.  Rank 2 and 3 frescos have no
-    simple pole."""
-    prec = draw(st.integers(8, max_prec))
+    min_prec..max_prec with non-constant units.  Rank 2 and 3 frescos have
+    no simple pole."""
+    prec = draw(st.integers(min_prec, max_prec))
     k = draw(st.integers(1, 3))
     factors = []
     for j in range(1, k + 1):

@@ -8,20 +8,22 @@ from hypothesis import event, given, settings, strategies as st
 
 import pytest
 
-from abmod import (NotAStable, NotGeometric, TruncSeries,
-                   bernstein_polynomial, build_xi_tensor, class_mod_z,
-                   eigen_elements, embed_into_xi, higher_bernstein,
-                   is_semisimple, module_e_lambda, module_from_matrix,
-                   primitive_split, saturate, semisimple_filtration,
-                   semisimple_part, xi_module)
+from abmod import (AbmodError, NotAStable, NotGeometric, PrecisionExhausted,
+                   TruncSeries, bernstein_polynomial, build_xi_tensor,
+                   class_mod_z, eigen_elements, embed_into_xi,
+                   higher_bernstein, is_semisimple, module_e_lambda,
+                   module_from_matrix, primitive_split, saturate,
+                   semisimple_filtration, semisimple_part, xi_module)
 from abmod import decomposition
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
-from abmod.lattices import (is_normal, lattice_reduce, sub_module_structure,
-                            zero_lattice)
+from abmod.lattices import (full_lattice, is_normal, lattice_reduce,
+                            normal_hull, quotient_module,
+                            sub_module_structure, zero_lattice)
 from abmod.linsolve import ParamSolver, form_add, form_scale
 from abmod.modules import (direct_sum, smat_coeff, smat_from_const,
                            smat_mul)
 from abmod.qlinalg import identity, inverse as qinverse, mat_mul
+from abmod.saturation import require_geometric
 
 from strategies import geometric_fresco
 
@@ -301,6 +303,108 @@ class TestSemisimplePart:
         monkeypatch.setattr(decomposition, "sub_module_structure", broken)
         with pytest.raises(TypeError):
             semisimple_part(xi_module(F(1, 2), 1, P))
+
+
+def reference_semisimple_part(module):
+    """``semisimple_part`` without its stopping rules: every candidate
+    lambda is solved, in root order, and the hull validates itself through
+    this function.  Kept as the reference for the early returns."""
+    diagnostics = []
+    if module.rank == 0:
+        return full_lattice(module), diagnostics
+    roots = [v for v, _ in require_geometric(module)["roots"]]
+    lambdas = []
+    for r in sorted(set(roots)):
+        base = -r
+        for m in range(module.prec // 2 + 1):
+            if base + m not in lambdas:
+                lambdas.append(base + m)
+    elems = []
+    for lam in lambdas:
+        elems.extend(eigen_elements(module, lam).basis_elements())
+    if not elems:
+        diagnostics.append("no eigen-elements found; semi-simple part is zero")
+        return zero_lattice(module), diagnostics
+    hull = normal_hull(lattice_reduce(elems, host=module))
+    try:
+        sub = sub_module_structure(hull)
+    except NotAStable as exc:
+        diagnostics.append(f"eigen-span hull is not a-stable: {exc}")
+        return hull, diagnostics
+    if hull.rank < module.rank:
+        inner, _ = reference_semisimple_part(sub.module)
+        if not (inner.rank == sub.module.rank and is_normal(inner)):
+            diagnostics.append(
+                "eigen-span hull failed its own semi-simplicity validation")
+    return hull, diagnostics
+
+
+def part_outcome(fn, module):
+    """The basis coordinates, pivots and diagnostics of fn(module), or the
+    type and message of the error it raises."""
+    try:
+        lat, diags = fn(module)
+    except AbmodError as exc:
+        return type(exc), str(exc)
+    return ([[(e.coeffs, e.prec) for e in vec] for vec in lat.basis],
+            lat.pivots, diags)
+
+
+def modules_around(module):
+    """The module, its saturation, the quotients by its filtration steps
+    and its primitive parts, leaving out those that raise."""
+    out = [module]
+    try:
+        out.append(saturate(module).module)
+        out.extend(quotient_module(module, step).module
+                   for step in semisimple_filtration(module).steps[:-1])
+        roots = bernstein_polynomial(module, mode="characteristic").roots
+        for alpha in sorted({class_mod_z(-v) for v, _ in roots}):
+            out.append(primitive_split(module, {alpha},
+                                       mode="characteristic").part_module)
+    except AbmodError as exc:
+        event(type(exc).__name__)
+    return out
+
+
+@settings(PROPS, max_examples=60)
+@given(geometric_fresco(min_prec=2))
+def test_semisimple_part_matches_the_full_candidate_loop(module):
+    """Stopping once the part is decided changes no basis vector, pivot,
+    diagnostic or error."""
+    for m in modules_around(module):
+        assert part_outcome(semisimple_part.__wrapped__, m) \
+            == part_outcome(reference_semisimple_part, m)
+        event(f"rank {m.rank}")
+
+
+def test_rank_one_below_precision_two_raises_before_its_rule():
+    """The rank-1 rule follows ``require_geometric``, which needs the
+    residue, so a rank-1 module at precision 1 raises as before."""
+    m = module_e_lambda(F(1, 2), 1)
+    assert part_outcome(semisimple_part, m) \
+        == part_outcome(reference_semisimple_part, m) \
+        == (PrecisionExhausted,
+            "residue needs order-1 coefficients beyond precision")
+
+
+@pytest.mark.parametrize("build, calls", [
+    (lambda: module_e_lambda(F(1, 2), P), 0),
+    (lambda: direct_sum(module_e_lambda(F(1, 2), P),
+                        module_e_lambda(F(1, 3), P)), 2),
+    (lambda: build_xi_tensor([F(1, 2)], 1, 1, P), 9),
+], ids=["E_1/2", "E_1/2+E_1/3", "xi_1/2"])
+def test_eigen_solves_stop_once_the_part_is_decided(monkeypatch, build,
+                                                    calls):
+    """At precision 16 each root has 9 candidates.  E_lambda needs no
+    solve, the sum one per unshifted root; xi, whose span never has full
+    rank, solves its 9 and none for the rank-1 part it validates."""
+    seen = []
+    real = decomposition.eigen_elements
+    monkeypatch.setattr(decomposition, "eigen_elements",
+                        lambda m, lam: seen.append(lam) or real(m, lam))
+    semisimple_part(build())
+    assert len(seen) == calls
 
 
 class TestIsSemisimple:

@@ -60,6 +60,11 @@ class TestParse:
             parse_session("\n" + text + "\n")
         assert (err.value.line, err.value.col) == (2, col)
 
+    def test_empty_fresco_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_session("precision 8\nlet F = fresco []\n")
+        assert err.value.line == 2
+
     def test_comments_and_blanks(self):
         s = parse_session("# nothing\n\nlet X = xi 1/2 0  # trailing\n")
         assert len(s.commands) == 1
@@ -109,6 +114,20 @@ class TestRun:
             "let M = module [[1]]\nshow saturate M\n"))
         assert report.failed
         assert report.entries[-1]["error"]["type"] == "NotRegular"
+
+    @pytest.mark.parametrize("let, error", [
+        ("let F = fresco [(3/2, 0)]", "NotAUnit"),
+        ("let F = module [[b, 0]]", "NonSquare"),
+    ])
+    def test_show_after_a_failed_let_is_an_error_entry(self, let, error):
+        report = run_session(parse_session(
+            f"{let}\nshow bernstein F\nlet X = xi 1/2 0\nshow bernstein X\n"))
+        assert report.failed
+        assert [e.get("error", {}).get("type") for e in report.entries] \
+            == [error, "UnknownName", None, None]
+        assert report.entries[1]["error"]["message"] \
+            == "name 'F' has no value: its let failed"
+        assert report.entries[3]["text"] == ["bernstein (minimal): (x + 1/2)"]
 
     def test_check_escalates_diagnostics(self):
         text = "let T = system [[1/3, 1], [0, 1/3]]\nshow higher_bernstein T\n"
@@ -166,6 +185,15 @@ class TestCli:
     def test_parse_error_exit(self):
         proc = self._run([], stdin="nonsense\n")
         assert proc.returncode == 2
+
+    def test_show_after_a_failed_let_prints_no_traceback(self):
+        proc = self._run([], stdin="let F = fresco [(3/2, 0)]\n"
+                                   "show bernstein F\n")
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert "error [UnknownName]" in proc.stdout
+        proc = self._run([], stdin="let F = fresco []\n")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error [ParseError]")
 
     def test_negative_saturation_cap_is_a_usage_error(self):
         session = "let F = fresco [(3/2, 1), (1/2, 1)]\nshow saturate F\n"
