@@ -190,10 +190,12 @@ def semisimple_part(module: AbModule):
       precision is at least 2 here);
     - otherwise the candidates are visited by least shift, every unshifted
       root first, and once the eigen-span has full rank the normal hull is
-      the whole module, whatever the remaining candidates add.
+      the whole module, whatever the remaining candidates add.  The span is
+      reduced only when the ranks of the eigen-lattices seen allow it to
+      be full.
 
     A span that never reaches full rank gives the hull of all candidates'
-    eigen-elements, taken in root order.
+    eigen-elements.
     """
     diagnostics = []
     if module.rank == 0:
@@ -201,19 +203,21 @@ def semisimple_part(module: AbModule):
     roots = [v for v, _ in require_geometric(module)["roots"]]
     if module.rank == 1:
         return full_lattice(module), diagnostics
-    bases = sorted({-r for r in roots}, reverse=True)
-    shifts = range(module.prec // 2 + 1)
-    found = {}
-    span = zero_lattice(module)
-    for lam in dict.fromkeys(r + m for m in shifts for r in bases):
-        found[lam] = eigen_elements(module, lam).basis_elements()
-        if found[lam]:
-            span = lattice_reduce(span.basis_elements() + found[lam],
-                                  host=module)
-            if span.rank == module.rank:
-                return full_lattice(module), diagnostics
-    # root order, each lambda once
-    elems = [g for r in bases for m in shifts for g in found.pop(r + m, ())]
+    lams0 = sorted({-r for r in roots}, reverse=True)
+    elems, ranks = [], {}
+    for lam in dict.fromkeys(lam0 + m for m in range(module.prec // 2 + 1)
+                             for lam0 in lams0):
+        lat = eigen_elements(module, lam)
+        elems.extend(lat.basis_elements())
+        # b^m maps the eigen-elements of lam into those of lam + m, so the
+        # span reaches full rank only once the largest eigen-lattice ranks
+        # seen per class mod Z add up to it; the reduction decides (a gate
+        # that opens late costs solves, never the answer)
+        cls = class_mod_z(lam)
+        ranks[cls] = max(ranks.get(cls, 0), lat.rank)
+        if lat.rank and sum(ranks.values()) == module.rank \
+                and lattice_reduce(elems, host=module).rank == module.rank:
+            return full_lattice(module), diagnostics
     if not elems:
         diagnostics.append("no eigen-elements found; semi-simple part is zero")
         return zero_lattice(module), diagnostics

@@ -388,23 +388,32 @@ def test_rank_one_below_precision_two_raises_before_its_rule():
             "residue needs order-1 coefficients beyond precision")
 
 
-@pytest.mark.parametrize("build, calls", [
-    (lambda: module_e_lambda(F(1, 2), P), 0),
+@pytest.mark.parametrize("build, solves, reductions", [
+    (lambda: module_e_lambda(F(1, 2), P), 0, 0),
     (lambda: direct_sum(module_e_lambda(F(1, 2), P),
-                        module_e_lambda(F(1, 3), P)), 2),
-    (lambda: build_xi_tensor([F(1, 2)], 1, 1, P), 9),
+                        module_e_lambda(F(1, 3), P)), 2, 3),
+    (lambda: build_xi_tensor([F(1, 2)], 1, 1, P), 9, 10),
 ], ids=["E_1/2", "E_1/2+E_1/3", "xi_1/2"])
 def test_eigen_solves_stop_once_the_part_is_decided(monkeypatch, build,
-                                                    calls):
+                                                    solves, reductions):
     """At precision 16 each root has 9 candidates.  E_lambda needs no
     solve, the sum one per unshifted root; xi, whose span never has full
-    rank, solves its 9 and none for the rank-1 part it validates."""
-    seen = []
-    real = decomposition.eigen_elements
-    monkeypatch.setattr(decomposition, "eigen_elements",
-                        lambda m, lam: seen.append(lam) or real(m, lam))
+    rank, solves its 9 and none for the rank-1 part it validates.  Each
+    solve reduces its solutions once; the span is reduced only when its
+    eigen-lattice ranks allow full rank (once for the sum), and otherwise
+    once after the loop (xi)."""
+    seen = {"solves": 0, "reductions": 0}
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            seen[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(decomposition, real.__name__, call)
+
+    counting("solves", decomposition.eigen_elements)
+    counting("reductions", decomposition.lattice_reduce)
     semisimple_part(build())
-    assert len(seen) == calls
+    assert seen == {"solves": solves, "reductions": reductions}
 
 
 class TestIsSemisimple:
