@@ -17,7 +17,7 @@ from .errors import (AbmodError, HostMismatch, NoEmbeddingFound,
                      PrecisionExhausted, ValidationFailed)
 from .lattices import _reduce_vectors, lattice_reduce, sub_module_structure
 from .modules import (AbModule, ModuleElement, build_xi_tensor, derived,
-                      module_from_matrix, smat_mul, smat_vec)
+                      module_from_matrix, smat_mul, smat_vec, xi_module)
 from .ratpoly import RationalPolynomial
 from .saturation import bernstein_polynomial, require_geometric, saturate
 from .decomposition import (_solve_equivariance, class_mod_z,
@@ -129,15 +129,62 @@ def _series_matrix_rank(matrix, dim, prec) -> int:
 
 
 @derived
+def _xi_block_solution(src: AbModule, alpha, depth):
+    """The equivariant maps src -> Xi_alpha^(depth), solved once per source:
+    every Xi^(depth) (x) V target is a direct sum of these blocks."""
+    return _solve_equivariance(src, xi_module(alpha, depth, src.prec),
+                               src.prec // 2)
+
+
+def _xi_tensor_solution(src: AbModule, classes, depth: int, dim_v: int):
+    """``_solve_equivariance(src, build_xi_tensor(classes, depth, dim_v, p),
+    p // 2)`` with p = src.prec, assembled from one solve per class.
+
+    The target's a-matrix is block diagonal, one Xi_alpha^(depth) block per
+    (class, copy), and every equation (t, j, n) involves only the unknowns
+    of t's block.  The solver keeps the unique reduced row-echelon form
+    with the largest parameter as pivot, and that of a system over disjoint
+    unknowns is the union of the blocks' forms.  Block bi starts at row
+    t0 = bi*(depth+1), and its local parameter q = n*size_b + r (size_b =
+    (depth+1)*k) is the global n*size + t0*k + r, which keeps the (n, t, j)
+    order within the block.  So ``live`` and ``build`` are the monolithic
+    solve's.
+    """
+    k = src.rank
+    size_b = (depth + 1) * k
+    size = len(classes) * dim_v * size_b
+    live, blocks = [], []
+    for bi, alpha in enumerate(a for a in classes for _ in range(dim_v)):
+        b_live, b_build = _xi_block_solution(src, alpha, depth)
+        pairs = [(n * size + bi * size_b + r, q)
+                 for q in b_live for n, r in (divmod(q, size_b),)]
+        live.extend(g for g, _ in pairs)
+        blocks.append((pairs, b_build))
+    live.sort()
+
+    def build(assign):
+        return tuple(row for pairs, b_build in blocks
+                     for row in b_build({q: assign[g] for g, q in pairs
+                                         if g in assign}))
+
+    return live, build
+
+
+@derived
 def embed_into_xi(module: AbModule, depth=None, dim_v=None) -> Embedding:
     """Injective equivariant map into an expansion module.
 
     Classes come from the Bernstein roots mod Z; the log depth is searched
     upward (0 .. rank-1) unless forced, and the multiplicity space starts
     at the rank of the semi-simple part.  The unknown coordinate series
-    are solved order by order; the free parameters are then set to each
-    unit vector and to (1, 2, 3, ...) in turn, and the first equivariant
-    choice of full column rank over the series fraction field is returned.
+    are solved order by order, one solve per (class, depth) block of the
+    target, shared by every dim V (``_xi_tensor_solution``).  The free
+    parameters are then set to each unit vector and to (1, 2, 3, ...) in
+    turn, and the first equivariant choice of full column rank over the
+    series fraction field is returned.  A unit vector is nonzero only on
+    its block's depth+1 rows, so when depth+1 < rank its candidates cannot
+    have full rank and are not built; their rank checks could not raise
+    either, since the reduction never lowers the least entry precision.
     The image of an injective equivariant map has the source's Bernstein
     polynomial, so a mismatch raises ValidationFailed.
     """
@@ -147,7 +194,6 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None) -> Embedding:
     k = src.rank
     classes = tuple(sorted({class_mod_z(-v) for v, _ in cert["roots"]}))
     prec = src.prec
-    cutoff = prec // 2
 
     if dim_v is not None:
         dim_candidates = [dim_v]
@@ -165,11 +211,12 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None) -> Embedding:
         for dv in dim_candidates:
             searched.append((n_depth, dv))
             target = build_xi_tensor(classes, n_depth, dv, prec)
-            live, build = _solve_equivariance(src, target, cutoff)
+            live, build = _xi_tensor_solution(src, classes, n_depth, dv)
             if not live:
                 continue
 
-            candidates = [{q: Fraction(1)} for q in live]
+            candidates = ([{q: Fraction(1)} for q in live]
+                          if n_depth + 1 >= k else [])
             candidates.append({q: Fraction(i + 1)
                                for i, q in enumerate(live)})
             for assign in candidates:

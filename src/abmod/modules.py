@@ -346,11 +346,18 @@ def _block_diag(mats, prec):
 # -- series matrix utilities (one product kernel for every layer) -----
 
 def smat_vec(mat, vec, cap):
-    """mat . vec for a series matrix and vector, at precision <= cap."""
+    """mat . vec for a series matrix and vector, at precision <= cap.
+
+    A known-zero entry of precision >= cap is skipped: its product has
+    precision >= cap, so subtracting it would leave acc as it is.  A zero
+    entry of lower precision still lowers the precision of its row.
+    """
     out = []
     for row in mat:
         acc = TruncSeries.zero(cap)     # accumulates -(row . vec)
         for e, x in zip(row, vec):
+            if e.prec >= cap and not any(e.coeffs):
+                continue
             acc = acc.sub_mul(e, x, cap=cap)
         out.append(-acc)
     return tuple(out)

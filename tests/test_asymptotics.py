@@ -4,19 +4,26 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abmod import (DiffSystem, HostMismatch, NoEmbeddingFound, NotAStable,
                    TruncSeries, ValidationFailed, bernstein_polynomial,
                    embed_into_xi, from_differential_system, module_e_lambda,
                    realize_expansion, singular_term_report, xi_module)
-from abmod import asymptotics
+from abmod import asymptotics, decomposition
 from abmod.asymptotics import LogPowerFunction, realize_function
+from abmod.decomposition import class_mod_z
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
-from abmod.modules import direct_sum
+from abmod.modules import build_xi_tensor, direct_sum
 from abmod.operators import op_normalize
 from abmod.ratpoly import RationalPolynomial
+from abmod.saturation import require_geometric, saturate
+
+from strategies import geometric_fresco
 
 P = 16
+PROPS = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=25)
 
 
 class TestFromDifferentialSystem:
@@ -111,8 +118,9 @@ class TestEmbedding:
             embed_into_xi(xi_module(F(1, 2), 1, P), depth=0)
 
     def test_candidates_are_the_units_and_one_two_three(self, monkeypatch):
-        # the pairs (0, 1) and (0, 2) leave 1 and 2 live parameters: one
-        # unit candidate plus (1), then two unit candidates plus (1, 2)
+        # the pairs (0, 1) and (0, 2) leave 1 and 2 live parameters; at
+        # depth 0 a unit candidate fills one row of the rank-2 source's
+        # image, so only (1) and then (1, 2) are checked
         calls = []
         rank = asymptotics._series_matrix_rank
 
@@ -122,7 +130,35 @@ class TestEmbedding:
         monkeypatch.setattr(asymptotics, "_series_matrix_rank", counted)
         with pytest.raises(NoEmbeddingFound):
             embed_into_xi(xi_module(F(1, 2), 1, P), depth=0)
-        assert len(calls) == 5
+        assert len(calls) == 2
+
+    def test_rank_four_fresco_solves_blocks_and_skips_unit_candidates(
+            self, monkeypatch):
+        """Depths 0-2 need one block solve per class (1/2, 1/3) each, into
+        targets of rank depth + 1; below depth 3 no unit candidate of the
+        rank-4 source can have full rank, so each (depth, dim V) pair
+        checks only (1, 2, 3, ...): 5 pairs, 5 checks (52 when every unit
+        candidate was built)."""
+        ranks, solves = [], []
+        rank, solve = (asymptotics._series_matrix_rank,
+                       asymptotics._solve_equivariance)
+
+        def counted_rank(*args):
+            ranks.append(args)
+            return rank(*args)
+
+        def counted_solve(source, target, cutoff):
+            solves.append(target.rank)
+            return solve(source, target, cutoff)
+        monkeypatch.setattr(asymptotics, "_series_matrix_rank", counted_rank)
+        monkeypatch.setattr(asymptotics, "_solve_equivariance", counted_solve)
+        fr = fresco_from_presentation(FrescoPresentation(
+            [(F(7, 2), 1), (F(5, 2), TruncSeries([1, 1], P)), (F(3, 2), 1),
+             (F(1, 3), 1)], P), P)
+        emb = embed_into_xi(fr.module)
+        assert (emb.depth, emb.dim_v) == (2, 3)
+        assert len(ranks) == 5
+        assert solves == [1, 1, 2, 2, 3, 3]
 
     def test_image_bernstein_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(asymptotics, "_image_bernstein",
@@ -161,6 +197,63 @@ class TestEmbedding:
         sub = sub_module_structure(lattice_reduce(cols, host=emb.target))
         assert bernstein_polynomial(sub.module, mode="characteristic") \
             == bernstein_polynomial(fr.module, mode="characteristic")
+
+
+@st.composite
+def source_and_xi_shape(draw):
+    """A saturated source with its classes, a log depth 0-2 and a dim V
+    1-3.  The source is the saturation of a geometric fresco or a direct
+    sum of E_lambda, so classes repeat and differ."""
+    if draw(st.booleans()):
+        module = draw(geometric_fresco(max_prec=10))
+    else:
+        lams = draw(st.lists(st.sampled_from(
+            [F(1, 2), F(3, 2), F(1, 3), F(4, 3), F(1)]), min_size=1,
+            max_size=3))
+        prec = draw(st.integers(4, 10))
+        module = direct_sum(*(module_e_lambda(lam, prec) for lam in lams))
+    classes = tuple(sorted({class_mod_z(-v)
+                            for v, _ in require_geometric(module)["roots"]}))
+    return (saturate(module).module, classes, draw(st.integers(0, 2)),
+            draw(st.integers(1, 3)))
+
+
+def monolithic_solution(src, classes, depth, dim_v):
+    target = build_xi_tensor(classes, depth, dim_v, src.prec)
+    return target, decomposition._solve_equivariance(src, target,
+                                                     src.prec // 2)
+
+
+def coefficients(mat):
+    return [(e.coeffs, e.prec) for row in mat for e in row]
+
+
+@PROPS
+@given(source_and_xi_shape())
+def test_block_solution_is_the_monolithic_solve(case):
+    """The (live, build) assembled from one solve per class is the solve
+    into the whole Xi^(N) (x) V: the same free parameters, and the same
+    matrix at every unit assignment and at (1, 2, 3, ...)."""
+    src, classes, depth, dim_v = case
+    live, build = asymptotics._xi_tensor_solution(src, classes, depth, dim_v)
+    _, (ref_live, ref_build) = monolithic_solution(src, classes, depth, dim_v)
+    assert live == ref_live
+    assigns = [{q: F(1)} for q in live]
+    assigns.append({q: F(i + 1) for i, q in enumerate(live)})
+    for assign in assigns:
+        assert coefficients(build(assign)) == coefficients(ref_build(assign))
+
+
+@PROPS
+@given(source_and_xi_shape())
+def test_unit_candidates_have_rank_at_most_depth_plus_one(case):
+    """The premise of the rank screen, on the monolithic solve: a unit
+    assignment is nonzero on one block of N + 1 rows only."""
+    src, classes, depth, dim_v = case
+    target, (live, build) = monolithic_solution(src, classes, depth, dim_v)
+    for q in live:
+        assert asymptotics._series_matrix_rank(
+            build({q: F(1)}), target.rank, src.prec) <= depth + 1
 
 
 class TestRealize:

@@ -119,6 +119,42 @@ def test_smat_vec_matches_entrywise_sums(case):
 
 
 @st.composite
+def sparse_mat_and_vec(draw):
+    """Like mat_and_vec, with half the matrix entries known zeros whose
+    precision is drawn on both sides of the cap."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cap = draw(st.integers(0, MAX_PREC))
+
+    def entry():
+        if draw(st.booleans()):
+            return TruncSeries.zero(draw(st.integers(0, MAX_PREC)))
+        return draw(planted())[0]
+    mat = [[entry() for _ in range(cols)] for _ in range(rows)]
+    return mat, [draw(planted())[0] for _ in range(cols)], cap
+
+
+def dense_smat_vec(mat, vec, cap):
+    """mat . vec with one row operation for every entry, zeros included."""
+    out = []
+    for row in mat:
+        acc = TruncSeries.zero(cap)
+        for e, x in zip(row, vec):
+            acc = acc.sub_mul(e, x, cap=cap)
+        out.append(-acc)
+    return out
+
+
+@PROPS
+@given(sparse_mat_and_vec())
+def test_smat_vec_skips_only_zeros_that_keep_the_precision(case):
+    """Skipping a known zero of precision >= cap changes nothing; one of
+    lower precision still lowers its row's precision."""
+    mat, vec, cap = case
+    assert [as_pair(e) for e in smat_vec(mat, vec, cap)] \
+        == [as_pair(e) for e in dense_smat_vec(mat, vec, cap)]
+
+
+@st.composite
 def two_mats(draw):
     n, k, m = (draw(st.integers(0, 3)) for _ in range(3))
     a = [[draw(planted()) for _ in range(k)] for _ in range(n)]
