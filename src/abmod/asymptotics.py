@@ -124,7 +124,7 @@ class Embedding:
 def _series_matrix_rank(matrix, dim, prec) -> int:
     cols = [tuple(matrix[i][j] for i in range(dim))
             for j in range(len(matrix[0]))]
-    basis, _, _, _ = _reduce_vectors(cols, dim, prec)
+    basis, _, _ = _reduce_vectors(cols, dim, prec)
     return len(basis)
 
 
@@ -132,13 +132,12 @@ def _series_matrix_rank(matrix, dim, prec) -> int:
 def _xi_block_solution(src: AbModule, alpha, depth):
     """The equivariant maps src -> Xi_alpha^(depth), solved once per source:
     every Xi^(depth) (x) V target is a direct sum of these blocks."""
-    return _solve_equivariance(src, xi_module(alpha, depth, src.prec),
-                               src.prec // 2)
+    return _solve_equivariance(src, xi_module(alpha, depth, src.prec))
 
 
 def _xi_tensor_solution(src: AbModule, classes, depth: int, dim_v: int):
-    """``_solve_equivariance(src, build_xi_tensor(classes, depth, dim_v, p),
-    p // 2)`` with p = src.prec, assembled from one solve per class.
+    """``_solve_equivariance(src, build_xi_tensor(classes, depth, dim_v, p))``
+    with p = src.prec, assembled from one solve per class.
 
     The target's a-matrix is block diagonal, one Xi_alpha^(depth) block per
     (class, copy), and every equation (t, j, n) involves only the unknowns

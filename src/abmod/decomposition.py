@@ -72,16 +72,20 @@ def _target_table(target: AbModule, ks: int):
     return tuple(map(tuple, rows)), tuple(diag)
 
 
-def _solve_equivariance(source: AbModule, target: AbModule, cutoff: int):
+def _solve_equivariance(source: AbModule, target: AbModule):
     """Parametric solution of Phi . A = B . Phi + b^2 Phi' order by order.
 
     Phi is the target.rank x source.rank series matrix of an a-equivariant
     map source -> target, and A, B are the two a-matrices.  The unknown
     Phi_n[t][j] (coefficient of b^n) is parameter n*size + t*ks + j, of tag
     n, where size = kt*ks.  Returns (live, build): the free parameters of
-    tag (order) <= cutoff that the solution depends on, and
-    ``build(assign)``, the matrix Phi when those parameters take the values
-    in *assign* (0 where missing).
+    tag (order) <= p // 2, p = min(source.prec, target.prec), that the
+    solution depends on, and ``build(assign)``, the matrix Phi when those
+    parameters take the values in *assign* (0 where missing).  A free
+    parameter of a later order is fixed only by equations beyond the
+    truncation.  The solver pivots on the largest parameter, so every
+    unknown numbered below a free q is independent of it: ``build({q: 1})``
+    has coefficient 1 at b^n in entry (t, j) and no term below b^n.
 
     The coefficient table is the target's half (``_target_table``, built
     once per target and source rank) plus the source's A_m entries.  A
@@ -136,7 +140,7 @@ def _solve_equivariance(source: AbModule, target: AbModule, cutoff: int):
             solver.add_equation(eq)
     one = Fraction(1)
     phi = [solver.reduce({idx: one}) for idx in range(p * size)]
-    live = [q for q in solver.live_params(phi) if solver.tag(q) <= cutoff]
+    live = [q for q in solver.live_params(phi) if solver.tag(q) <= p // 2]
 
     def build(assign):
         return tuple(
@@ -154,7 +158,9 @@ def eigen_elements(module: AbModule, lam) -> Lattice:
 
     A solution is the image of e under an a-equivariant map E_lambda -> E,
     where a e = lambda b e.  Solutions of the truncated system whose
-    valuation exceeds prec // 2 are discarded: their defining constraints
+    valuation exceeds prec // 2 are not solved for (``_solve_equivariance``
+    keeps the parameters of order <= prec // 2, and the solution of a
+    parameter of order n has valuation n): their defining constraints
     lie beyond the truncation order, so they are indistinguishable from
     zero and carry no structure.  Only the span is returned: the reduced
     basis divides vectors by units, and a unit multiple of a solution is
@@ -163,16 +169,12 @@ def eigen_elements(module: AbModule, lam) -> Lattice:
     the basis vector (-1/3 b) e0 + e1).
     """
     p = module.prec
-    cutoff = p // 2
     if module.rank == 0 or p < 2:
         return zero_lattice(module)
-    live, build = _solve_equivariance(module_e_lambda(lam, p), module, cutoff)
-    sols = []
-    for q in live:
-        elem = module.element([row[0] for row in build({q: Fraction(1)})])
-        if not elem.is_zero_known() and elem.valuation_lower_bound() <= cutoff:
-            sols.append(elem)
-    return lattice_reduce(sols, host=module)
+    live, build = _solve_equivariance(module_e_lambda(lam, p), module)
+    return lattice_reduce(
+        [module.element([row[0] for row in build({q: Fraction(1)})])
+         for q in live], host=module)
 
 
 # -- semi-simple part and filtration -------------------------------------

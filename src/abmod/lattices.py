@@ -13,6 +13,13 @@ which makes membership a straight forward-elimination and keeps the
 valuation-aware precision tracking from ever inventing coefficients.
 The last property is what ``normal_hull`` relies on: it divides each basis
 vector by its pivot power b^(v_j) exactly.
+
+There is one reduction and one forward elimination.  A reduction that
+tracks generator coordinates (``lattice_reduce(track=True)``,
+``kernel_of_series_map``) appends a row of the identity to each vector as
+trailing coordinates, which ``_reduce_vectors`` carries through every row
+operation but never pivots on or zero-tests.  Membership coordinates and
+quotient projections both come from ``Lattice._eliminate``.
 """
 
 from __future__ import annotations
@@ -49,7 +56,16 @@ class Lattice:
 
     def member_coords(self, x):
         """Coordinates of x in the pivot basis, or None if not a member."""
-        vec = _coerce_vec(self, x)
+        found = self._eliminate(_coerce_vec(self, x))
+        if found is None or not all(e.decided_zero("membership residual")
+                                    for e in found[1]):
+            return None
+        return found[0]
+
+    def _eliminate(self, vec):
+        """Forward elimination of a coordinate vector against the basis:
+        (pivot coordinates, residual), or None when a pivot entry has a
+        nonzero coefficient below its pivot valuation."""
         r = list(vec)
         coords = []
         for g, (p, v) in zip(self.basis, self.pivots):
@@ -67,10 +83,7 @@ class Lattice:
                 for i in range(len(r)):
                     r[i] = r[i].sub_mul(c, g[i], cap=self.host.prec)
             r[p] = TruncSeries.zero(r[p].prec)
-        for e in r:
-            if not e.decided_zero("membership residual"):
-                return None
-        return coords
+        return coords, r
 
     def contains(self, other: "Lattice") -> bool:
         return all(self.member(ModuleElement(self.host, v)) for v in other.basis)
@@ -107,42 +120,35 @@ def _coerce_vec(lat, x):
 
 # -- core reduction ----------------------------------------------------
 
-def _reduce_vectors(vectors, dim, prec, tracks=None):
-    """Hermite reduction of raw series vectors.
+def _reduce_vectors(vectors, dim, prec):
+    """Hermite reduction of raw series vectors on their first *dim*
+    coordinates.
 
-    Returns (basis, pivots, out_tracks, zero_tracks).  When *tracks* is
-    given, each work vector carries a companion coefficient vector which
-    undergoes the same operations; tracks of vectors that reduce to zero
-    are collected (they encode relations among the generators).
+    Returns (basis, pivots, dropped): the reduced vectors with their
+    (coordinate, valuation) pivots, and the vectors that reduced to zero.
+    Coordinates past *dim* are tracks: they undergo every row operation
+    but are never pivoted on or zero-tested, so a vector extended by its
+    row of the identity (``_with_identity``) ends with its coordinates in
+    the generators, and a dropped one with a relation among them.
     """
     work = [list(v) for v in vectors]
-    wtr = [list(t) for t in tracks] if tracks is not None else None
-    basis, pivots, btr, zero_tracks = [], [], [], []
-
-    def scale_vec(vec, s):
-        for i in range(len(vec)):
-            vec[i] = s.mul_sharp(vec[i], cap=prec)
+    basis, pivots, dropped = [], [], []
 
     def sub_scaled(dst, q, src):
         for i in range(len(dst)):
             dst[i] = dst[i].sub_mul(q, src[i], cap=prec)
 
     while True:
-        # drop decided-zero vectors, keeping their tracks
+        # drop the vectors whose first dim coordinates are decided zero
         alive = []
-        for idx, vec in enumerate(work):
-            nonzero = False
-            for e in vec:
-                if not e.decided_zero("lattice generator entry"):
-                    nonzero = True
+        for vec in work:
+            for i in range(dim):
+                if not vec[i].decided_zero("lattice generator entry"):
+                    alive.append(vec)
                     break
-            if nonzero:
-                alive.append(idx)
-            elif wtr is not None:
-                zero_tracks.append(tuple(wtr[idx]))
-        work = [work[i] for i in alive]
-        if wtr is not None:
-            wtr = [wtr[i] for i in alive]
+            else:
+                dropped.append(vec)
+        work = alive
         if not work:
             break
 
@@ -158,48 +164,38 @@ def _reduce_vectors(vectors, dim, prec, tracks=None):
                     best = key
         v, coord, idx = best
         g = work.pop(idx)
-        gt = wtr.pop(idx) if wtr is not None else None
 
-        unit = g[coord].divide_bpow(v)
-        uinv = unit.invert()
-        scale_vec(g, uinv)
-        if gt is not None:
-            scale_vec(gt, uinv)
+        uinv = g[coord].divide_bpow(v).invert()
+        for i in range(len(g)):
+            g[i] = uinv.mul_sharp(g[i], cap=prec)
         g[coord] = TruncSeries.b_power(v, g[coord].prec)
 
         # eliminate the pivot coordinate from every other vector
-        for vec, tr in _pairs(work, wtr):
-            entry = vec[coord]
-            low, high = entry.split_at(v)
+        for vec in work:
+            low, high = vec[coord].split_at(v)
             if not low.is_zero_known():
                 raise PrecisionExhausted(
                     "pivot minimality violated; cannot reduce exactly")
             if not high.is_zero_known():
                 sub_scaled(vec, high, g)
-                if tr is not None:
-                    sub_scaled(tr, high, gt)
             vec[coord] = TruncSeries.zero(vec[coord].prec)
-        for bvec, btrk, (bp, bv) in zip(basis, btr if wtr is not None else basis, pivots):
-            entry = bvec[coord]
-            low, high = entry.split_at(v)
+        for bvec in basis:
+            low, high = bvec[coord].split_at(v)
             if not high.is_zero_known():
                 sub_scaled(bvec, high, g)
-                if wtr is not None:
-                    sub_scaled(btrk, high, gt)
                 bvec[coord] = low
         basis.append(g)
-        if wtr is not None:
-            btr.append(gt)
         pivots.append((coord, v))
 
-    out_tracks = [tuple(t) for t in btr] if tracks is not None else None
-    return ([tuple(b) for b in basis], pivots, out_tracks, zero_tracks)
+    return [tuple(b) for b in basis], pivots, dropped
 
 
-def _pairs(vectors, tracks):
-    if tracks is None:
-        return [(v, None) for v in vectors]
-    return list(zip(vectors, tracks))
+def _with_identity(vectors, prec):
+    """Each vector followed by its row of the identity, as tracks."""
+    n = len(vectors)
+    return [tuple(vec) + tuple(TruncSeries.constant(int(i == j), prec)
+                               for j in range(n))
+            for i, vec in enumerate(vectors)]
 
 
 def lattice_reduce(gens, host=None, track=False) -> Lattice:
@@ -217,14 +213,14 @@ def lattice_reduce(gens, host=None, track=False) -> Lattice:
             vectors.append(g.coords)
         else:
             vectors.append(tuple(g))
-    tracks = None
-    if track:
-        n = len(vectors)
-        tracks = [tuple(TruncSeries.constant(int(i == j), host.prec)
-                        for j in range(n)) for i in range(n)]
-    basis, pivots, out_tracks, _ = _reduce_vectors(
-        vectors, host.rank, host.prec, tracks)
-    return Lattice(host, basis, pivots, out_tracks, len(vectors))
+    k = host.rank
+    if not track:
+        basis, pivots, _ = _reduce_vectors(vectors, k, host.prec)
+        return Lattice(host, basis, pivots, None, len(vectors))
+    basis, pivots, _ = _reduce_vectors(_with_identity(vectors, host.prec),
+                                       k, host.prec)
+    return Lattice(host, [b[:k] for b in basis], pivots,
+                   [b[k:] for b in basis], len(vectors))
 
 
 def full_lattice(host: AbModule) -> Lattice:
@@ -280,15 +276,20 @@ def sub_module_structure(lat: Lattice) -> SubModule:
     """Module structure on a lattice basis; requires a-stability."""
     if lat.is_zero():
         return SubModule(lat, AbModule([], prec=lat.host.prec))
+    # the a-images' coordinates are the columns of the a-matrix
+    return SubModule(lat, AbModule(zip(*_a_image_coords(lat))))
+
+
+def _a_image_coords(lat: Lattice):
+    """The coordinates of a g for each basis vector g; raises NotAStable
+    when one of them leaves the lattice."""
     cols = []
     for g in lat.basis_elements():
         c = lat.member_coords(g.act_a())
         if c is None:
             raise NotAStable("lattice is not stable under the a-action")
         cols.append(c)
-    r = len(cols)
-    mat = [[cols[j][i] for j in range(r)] for i in range(r)]
-    return SubModule(lat, AbModule(mat))
+    return cols
 
 
 class Quotient:
@@ -327,42 +328,32 @@ def quotient_module(host: AbModule, lat: Lattice) -> Quotient:
         raise HostMismatch("lattice does not live in the module")
     if not is_normal(lat):
         raise NotNormal("lattice has a pivot of positive valuation")
-    for g in lat.basis_elements():
-        if not lat.member(g.act_a()):
-            raise NotAStable("lattice is not stable under the a-action")
+    _a_image_coords(lat)        # raises NotAStable unless a-stable
     pivot_cols = {p for p, _ in lat.pivots}
     complement = [i for i in range(host.rank) if i not in pivot_cols]
     quot = Quotient(None, lat, complement, host)
-    cols = []
-    for i in complement:
-        img = quot_project_raw(quot, host.basis(i).act_a())
-        cols.append(img)
-    r = len(complement)
-    mat = [[cols[j][i] for j in range(r)] for i in range(r)]
-    quot.module = AbModule(mat, prec=host.prec)
+    # the projected a-images of the complement are its a-matrix's columns
+    quot.module = AbModule(
+        zip(*[quot_project_raw(quot, host.basis(i).act_a())
+              for i in complement]), prec=host.prec)
     return quot
 
 
 def quot_project_raw(quot: Quotient, x: ModuleElement):
-    vec = list(x.coords)
-    for g, (p, v) in zip(quot.lattice.basis, quot.lattice.pivots):
-        c = vec[p]
-        if not c.is_zero_known():
-            for i in range(len(vec)):
-                vec[i] = vec[i].sub_mul(c, g[i], cap=quot._host.prec)
-        vec[p] = TruncSeries.zero(vec[p].prec)
-    return [vec[i] for i in quot.complement]
+    """The complement coordinates of x after eliminating the (normal)
+    lattice's pivot coordinates."""
+    _, residual = quot.lattice._eliminate(x.coords)
+    return [residual[i] for i in quot.complement]
 
 
 def kernel_of_series_map(rows, ncols, prec):
     """Kernel of a series matrix (list of row vectors) acting on R^ncols.
 
-    Returns coordinate vectors spanning {w : M w = 0}, obtained as the
-    tracked relations of the column reduction of M.
+    Returns coordinate vectors spanning {w : M w = 0}: the tracks of the
+    columns of M that reduce to zero, from the reduction that gives
+    ``generator_coords``.
     """
     dim = len(rows)
     columns = [tuple(rows[i][j] for i in range(dim)) for j in range(ncols)]
-    tracks = [tuple(TruncSeries.constant(int(i == j), prec)
-                    for j in range(ncols)) for i in range(ncols)]
-    _, _, _, zero_tracks = _reduce_vectors(columns, dim, prec, tracks)
-    return zero_tracks
+    _, _, dropped = _reduce_vectors(_with_identity(columns, prec), dim, prec)
+    return [tuple(vec[dim:]) for vec in dropped]

@@ -147,9 +147,9 @@ class TestEmbedding:
             ranks.append(args)
             return rank(*args)
 
-        def counted_solve(source, target, cutoff):
+        def counted_solve(source, target):
             solves.append(target.rank)
-            return solve(source, target, cutoff)
+            return solve(source, target)
         monkeypatch.setattr(asymptotics, "_series_matrix_rank", counted_rank)
         monkeypatch.setattr(asymptotics, "_solve_equivariance", counted_solve)
         fr = fresco_from_presentation(FrescoPresentation(
@@ -220,8 +220,7 @@ def source_and_xi_shape(draw):
 
 def monolithic_solution(src, classes, depth, dim_v):
     target = build_xi_tensor(classes, depth, dim_v, src.prec)
-    return target, decomposition._solve_equivariance(src, target,
-                                                     src.prec // 2)
+    return target, decomposition._solve_equivariance(src, target)
 
 
 def coefficients(mat):

@@ -137,10 +137,30 @@ def test_eigen_elements_match_the_reference_solver(case):
     # units, and u x is in general not one, so the law is checked on them
     p = module.prec
     live, build = decomposition._solve_equivariance(
-        module_e_lambda(lam, p), module, p // 2)
+        module_e_lambda(lam, p), module)
     for q in live:
         x = module.element([row[0] for row in build({q: F(1)})])
         assert x.act_a() == x.act_b().scale(lam)
+
+
+@PROPS
+@given(fresco_and_lambda())
+def test_unit_solution_of_an_order_n_parameter_has_valuation_n(case):
+    """The solver pivots on the largest parameter, so the solution of a
+    live parameter q = n*k + t at q = 1 has coefficient 1 at b^n in entry
+    t and nothing below b^n, and n <= prec // 2: eigen_elements needs no
+    filter on zero or high-valuation solutions."""
+    module, lam = case
+    p, k = module.prec, module.rank
+    live, build = decomposition._solve_equivariance(
+        module_e_lambda(lam, p), module)
+    for q in live:
+        n, t = divmod(q, k)
+        x = module.element([row[0] for row in build({q: F(1)})])
+        assert n <= p // 2
+        assert x.coords[t].coeffs[n] == 1
+        assert all(not any(e.coeffs[:n]) for e in x.coords)
+        assert x.valuation_lower_bound() == n
 
 
 @settings(PROPS, max_examples=40)
@@ -159,12 +179,13 @@ def test_deterministic_candidates_embed_geometric_frescos(module):
         == bernstein_polynomial(module, mode="characteristic")
 
 
-def reference_solve_equivariance(source, target, cutoff):
+def reference_solve_equivariance(source, target):
     """The equivariant-map solver with every equation built by form
     algebra on one-entry forms, one per unknown; kept as the reference for
     the table-indexed ``decomposition._solve_equivariance``."""
     ks, kt = source.rank, target.rank
     p = min(source.prec, target.prec)
+    cutoff = p // 2
     terms, diag = [], [[F(0)] * ks for _ in range(kt)]
     for m in range(p):
         a, b = smat_coeff(source.a_matrix, m), smat_coeff(target.a_matrix, m)
@@ -224,9 +245,8 @@ def saturation_and_xi_target(draw):
 @given(saturation_and_xi_target())
 def test_solve_equivariance_matches_the_form_algebra_reference(case):
     source, target = case
-    cutoff = source.prec // 2
-    live, build = decomposition._solve_equivariance(source, target, cutoff)
-    ref_live, ref_build = reference_solve_equivariance(source, target, cutoff)
+    live, build = decomposition._solve_equivariance(source, target)
+    ref_live, ref_build = reference_solve_equivariance(source, target)
     assert live == ref_live
     for q in live:
         assert build({q: F(1)}) == ref_build({q: F(1)})
@@ -248,7 +268,6 @@ def test_consecutive_solves_share_an_unchanged_target_table(case):
     and no source entry leaks through the target's shared table."""
     module, lams = case
     p = module.prec
-    cutoff = p // 2
     sat = saturate(module).module
     tables = {ks: decomposition._target_table(module, ks)
               for ks in (1, sat.rank)}
@@ -256,9 +275,8 @@ def test_consecutive_solves_share_an_unchanged_target_table(case):
     for lam in lams:
         sources += [module_e_lambda(lam, p), sat]
     for source in sources:
-        live, build = decomposition._solve_equivariance(source, module, cutoff)
-        ref_live, ref_build = reference_solve_equivariance(source, module,
-                                                           cutoff)
+        live, build = decomposition._solve_equivariance(source, module)
+        ref_live, ref_build = reference_solve_equivariance(source, module)
         assert live == ref_live
         for q in live:
             assert build({q: F(1)}) == ref_build({q: F(1)})

@@ -1,17 +1,19 @@
 """Lattice reduction, membership, hulls and quotients over the series DVR."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 from hypothesis import event, given, settings, strategies as st
 
 import pytest
 
-from abmod import (NotAStable, NotNormal, PrecisionExhausted, TruncSeries,
-                   lattice_reduce, module_e_lambda, normal_hull,
-                   quotient_module, xi_module)
-from abmod.lattices import (is_normal, kernel_of_series_map,
+from abmod import (AbmodError, NotAStable, NotNormal, PrecisionExhausted,
+                   TruncSeries, lattice_reduce, lattices, module_e_lambda,
+                   normal_hull, quotient_module, semisimple_filtration,
+                   xi_module)
+from abmod.lattices import (_reduce_vectors, is_normal, kernel_of_series_map,
                             sub_module_structure, zero_lattice)
-from abmod.modules import ModuleElement, direct_sum
+from abmod.modules import AbModule, ModuleElement, direct_sum
 
 from strategies import geometric_fresco
 
@@ -300,3 +302,215 @@ class TestKernel:
         rows = [[TruncSeries.zero(P), TruncSeries.zero(P)]]
         ker = kernel_of_series_map(rows, 2, P)
         assert len(ker) == 2
+
+
+# -- the reduction and the elimination against their parallel-path forms --
+
+def reference_reduce_vectors(vectors, dim, prec, tracks=None):
+    """The Hermite reduction with tracks as a parallel list of companion
+    vectors, kept as the reference for ``_reduce_vectors``, which carries
+    them as trailing coordinates.  Returns (basis, pivots, out_tracks,
+    zero_tracks)."""
+    work = [list(v) for v in vectors]
+    wtr = [list(t) for t in tracks] if tracks is not None else None
+    basis, pivots, btr, zero_tracks = [], [], [], []
+
+    def scale_vec(vec, s):
+        for i in range(len(vec)):
+            vec[i] = s.mul_sharp(vec[i], cap=prec)
+
+    def sub_scaled(dst, q, src):
+        for i in range(len(dst)):
+            dst[i] = dst[i].sub_mul(q, src[i], cap=prec)
+
+    def pairs(vectors, tracks):
+        if tracks is None:
+            return [(v, None) for v in vectors]
+        return list(zip(vectors, tracks))
+
+    while True:
+        alive = []
+        for idx, vec in enumerate(work):
+            nonzero = False
+            for e in vec:
+                if not e.decided_zero("lattice generator entry"):
+                    nonzero = True
+                    break
+            if nonzero:
+                alive.append(idx)
+            elif wtr is not None:
+                zero_tracks.append(tuple(wtr[idx]))
+        work = [work[i] for i in alive]
+        if wtr is not None:
+            wtr = [wtr[i] for i in alive]
+        if not work:
+            break
+        best = None
+        for idx, vec in enumerate(work):
+            for coord in range(dim):
+                v = vec[coord].known_valuation()
+                if v is None:
+                    continue
+                key = (v, coord, idx)
+                if best is None or key < best:
+                    best = key
+        v, coord, idx = best
+        g = work.pop(idx)
+        gt = wtr.pop(idx) if wtr is not None else None
+        uinv = g[coord].divide_bpow(v).invert()
+        scale_vec(g, uinv)
+        if gt is not None:
+            scale_vec(gt, uinv)
+        g[coord] = TruncSeries.b_power(v, g[coord].prec)
+        for vec, tr in pairs(work, wtr):
+            low, high = vec[coord].split_at(v)
+            if not low.is_zero_known():
+                raise PrecisionExhausted(
+                    "pivot minimality violated; cannot reduce exactly")
+            if not high.is_zero_known():
+                sub_scaled(vec, high, g)
+                if tr is not None:
+                    sub_scaled(tr, high, gt)
+            vec[coord] = TruncSeries.zero(vec[coord].prec)
+        for bvec, btrk in zip(basis, btr if wtr is not None else basis):
+            low, high = bvec[coord].split_at(v)
+            if not high.is_zero_known():
+                sub_scaled(bvec, high, g)
+                if wtr is not None:
+                    sub_scaled(btrk, high, gt)
+                bvec[coord] = low
+        basis.append(g)
+        if wtr is not None:
+            btr.append(gt)
+        pivots.append((coord, v))
+    out_tracks = [tuple(t) for t in btr] if tracks is not None else None
+    return ([tuple(b) for b in basis], pivots, out_tracks, zero_tracks)
+
+
+def reference_quot_project_raw(quot, x):
+    """The projection loop that eliminated pivot coordinates without the
+    membership guards, kept as the reference for ``quot_project_raw``."""
+    vec = list(x.coords)
+    for g, (p, v) in zip(quot.lattice.basis, quot.lattice.pivots):
+        c = vec[p]
+        if not c.is_zero_known():
+            for i in range(len(vec)):
+                vec[i] = vec[i].sub_mul(c, g[i], cap=quot._host.prec)
+        vec[p] = TruncSeries.zero(vec[p].prec)
+    return [vec[i] for i in quot.complement]
+
+
+def exact(obj):
+    """Series as (coefficients, precision), recursively: ``==`` on series
+    only compares the shared precision."""
+    if isinstance(obj, TruncSeries):
+        return obj.coeffs, obj.prec
+    if isinstance(obj, (list, tuple)):
+        return tuple(exact(o) for o in obj)
+    return obj
+
+
+def outcome(fn, *args):
+    """exact(fn(*args)), or the type and message of the error it raises."""
+    try:
+        return exact(fn(*args))
+    except AbmodError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def series_entry(draw, cap):
+    """A series of precision 1..cap (rarely 0) and valuation 0..3, or a
+    known zero whose precision is below the cap."""
+    prec = draw(st.integers(0, cap) if draw(st.integers(0, 19)) == 0
+                else st.integers(1, cap))
+    if draw(st.booleans()):
+        return TruncSeries.zero(draw(st.integers(1, max(1, cap - 1))))
+    coeff = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2, 3), F(3)])
+    v = draw(st.integers(0, 3))
+    return TruncSeries([0] * v + [draw(coeff) for _ in range(3)], prec)
+
+
+@st.composite
+def tracked_vectors(draw):
+    """dim, prec, up to dim + 3 vectors of series entries, and one track
+    per vector: rows of the identity or random series."""
+    dim = draw(st.integers(1, 3))
+    prec = draw(st.integers(2, 8))
+    n = draw(st.integers(1, dim + 3))
+    vectors = [tuple(draw(series_entry(prec)) for _ in range(dim))
+               for _ in range(n)]
+    if draw(st.booleans()):
+        tracks = [tuple(TruncSeries.constant(int(i == j), prec)
+                        for j in range(n)) for i in range(n)]
+    else:
+        width = draw(st.integers(1, 3))
+        tracks = [tuple(draw(series_entry(prec)) for _ in range(width))
+                  for _ in range(n)]
+    return dim, prec, vectors, tracks
+
+
+def tracked_reduce(vectors, dim, prec, tracks):
+    """``_reduce_vectors`` on the vectors extended by their tracks, in the
+    reference's (basis, pivots, out_tracks, zero_tracks) shape."""
+    basis, pivots, dropped = _reduce_vectors(
+        [tuple(v) + tuple(t) for v, t in zip(vectors, tracks)], dim, prec)
+    return ([b[:dim] for b in basis], pivots, [b[dim:] for b in basis],
+            [tuple(d[dim:]) for d in dropped])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(tracked_vectors())
+def test_reduce_vectors_matches_the_parallel_track_reference(case):
+    dim, prec, vectors, tracks = case
+    if len(vectors) > dim:
+        event("more vectors than dim")
+    got = outcome(tracked_reduce, vectors, dim, prec, tracks)
+    assert got == outcome(reference_reduce_vectors, vectors, dim, prec,
+                          tracks)
+    if isinstance(got[0], str):
+        event("raises")
+        return
+    if got[3]:
+        event("relations")
+    untracked = outcome(_reduce_vectors, vectors, dim, prec)
+    assert untracked[:2] == got[:2]
+    ref_untracked = outcome(reference_reduce_vectors, vectors, dim, prec)
+    assert untracked[:2] == ref_untracked[:2]
+    # the kernel of the map whose columns are the vectors
+    rows = [[vec[i] for vec in vectors] for i in range(dim)]
+    n = len(vectors)
+    identity = [tuple(TruncSeries.constant(int(i == j), prec)
+                      for j in range(n)) for i in range(n)]
+    assert outcome(kernel_of_series_map, rows, n, prec) == outcome(
+        lambda: reference_reduce_vectors(vectors, dim, prec, identity)[3])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(geometric_fresco(max_prec=10, min_prec=2))
+def test_quotient_projection_matches_the_reference_loop(module):
+    """The filtration, its level modules and the projections of its
+    quotients are identical when quotients project with the old loop, and
+    so is the error when one is raised."""
+    def summary():
+        filt = semisimple_filtration(AbModule(module.a_matrix))
+        host = filt.host
+        out = [[(s.basis, s.pivots) for s in filt.steps]]
+        out.append([filt.level_module(j).a_matrix
+                    for j in range(1, filt.nilpotent_order + 1)])
+        elems = [host.basis(i) for i in range(host.rank)]
+        elems += [e.act_a() for e in elems] + [e.act_b() for e in elems]
+        for step in filt.steps:
+            elems += step.basis_elements()
+        for step in filt.steps:
+            quot = quotient_module(host, step)
+            out.append([lattices.quot_project_raw(quot, x) for x in elems])
+        return out
+
+    got = outcome(summary)
+    with mock.patch.object(lattices, "quot_project_raw",
+                           reference_quot_project_raw):
+        ref = outcome(summary)
+    if isinstance(got[0], str):
+        event(f"raises {got[0]}")
+    assert got == ref

@@ -68,7 +68,7 @@ class TestSaturate:
         sat = saturate(m)
         cols = [tuple(sat.inclusion[i][j] for i in range(m.rank))
                 for j in range(m.rank)]
-        basis, pivots, _, _ = _reduce_vectors(cols, m.rank, sat.module.prec)
+        basis, pivots, _ = _reduce_vectors(cols, m.rank, sat.module.prec)
         assert len(basis) == m.rank
         for vec, (p, v) in zip(basis, pivots):
             assert vec[p] == TruncSeries.b_power(v, vec[p].prec)

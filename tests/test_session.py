@@ -260,3 +260,12 @@ class TestCli:
         golden = (GOLDEN / f"{name}.json").read_text()
         assert proc.stdout == golden
         json.loads(proc.stdout)   # valid JSON
+
+
+def test_random_frescos_session_matches_its_golden_output():
+    """40 seeded geometric frescos through every show action; the header
+    of random_frescos.abm says what the pinned output covers."""
+    report = run_session(parse_session(
+        (GOLDEN / "random_frescos.abm").read_text()))
+    assert report.to_text() == (GOLDEN / "random_frescos.txt").read_text()
+    assert report.to_json() == (GOLDEN / "random_frescos.json").read_text()
