@@ -3,9 +3,15 @@ higher Bernstein polynomials.
 
 The filtration is computed from eigen-elements: solutions of
 (a - lambda b) x = 0, the images of e under a-equivariant maps
-E_lambda -> E.  They come from the one solver for equivariant maps, which
-the embedding search into expansion modules shares; it finds the map
-coefficient-by-coefficient as an exact linear system.  The algorithmic
+E_lambda -> E.  They come from the one elimination loop for equivariant
+maps, which the embedding search into expansion modules shares; it finds
+the map coefficient-by-coefficient as an exact linear system.  The
+candidates lambda + m share it: if every solution at lambda + m vanishes
+below b^m, the system is the lambda one at precision p - m shifted by
+b^m, so one elimination per base exponent, recorded after each order
+from p - p // 2 - 1 on, answers every shift.  A zero-prefix check finds
+m; it feeds at most min(p - v, k + 2) orders of the system at
+lambda + m - v, never an equation past the truncation.  The algorithmic
 choices the underlying theory leaves open (the eigen-span hull realizing
 the first filtration step, the candidate bound for lambda: negated
 Bernstein roots shifted by 0..prec // 2) are validated post hoc; failures
@@ -72,20 +78,17 @@ def _target_table(target: AbModule, ks: int):
     return tuple(map(tuple, rows)), tuple(diag)
 
 
-def _solve_equivariance(source: AbModule, target: AbModule):
-    """Parametric solution of Phi . A = B . Phi + b^2 Phi' order by order.
+def _feed_orders(solver: ParamSolver, source: AbModule, target: AbModule):
+    """Feed the equations of Phi . A = B . Phi + b^2 Phi' to *solver*
+    order by order, yielding each order n = 0..p-1 once it is fed.
 
     Phi is the target.rank x source.rank series matrix of an a-equivariant
     map source -> target, and A, B are the two a-matrices.  The unknown
     Phi_n[t][j] (coefficient of b^n) is parameter n*size + t*ks + j, of tag
-    n, where size = kt*ks.  Returns (live, build): the free parameters of
-    tag (order) <= p // 2, p = min(source.prec, target.prec), that the
-    solution depends on, and ``build(assign)``, the matrix Phi when those
-    parameters take the values in *assign* (0 where missing).  A free
-    parameter of a later order is fixed only by equations beyond the
-    truncation.  The solver pivots on the largest parameter, so every
-    unknown numbered below a free q is independent of it: ``build({q: 1})``
-    has coefficient 1 at b^n in entry (t, j) and no term below b^n.
+    n, where size = kt*ks and p = min(source.prec, target.prec); all of
+    them are created up front.  Equations of order n hold unknowns of order
+    <= n only, so after order n the solver holds the system at precision
+    n + 1.
 
     The coefficient table is the target's half (``_target_table``, built
     once per target and source rank) plus the source's A_m entries.  A
@@ -116,7 +119,6 @@ def _solve_equivariance(source: AbModule, target: AbModule):
                     if own is None:
                         rows = own = [list(r) for r in rows]
                     own[t * ks + j][(m + 1) * size - 1 - (t * ks + i)] += c
-    solver = ParamSolver()
     for n in range(p):
         for _ in range(size):
             solver.new_param(tag=n)
@@ -138,9 +140,42 @@ def _solve_equivariance(source: AbModule, target: AbModule):
                 if c:
                     eq[(n - 1) * size + tj] = c
             solver.add_equation(eq)
+        yield n
+
+
+def _unit_solutions(solver: ParamSolver, size: int, orders: int,
+                    cutoff: int):
+    """(live, phi): the reduced forms phi of the unknowns of order < orders,
+    and the free parameters of tag <= cutoff that they depend on.
+
+    A free parameter's own form holds it, and a reduced form holds no
+    parameter numbered above its own, so the forms of tag <= cutoff hold
+    exactly the live parameters.
+    """
     one = Fraction(1)
-    phi = [solver.reduce({idx: one}) for idx in range(p * size)]
-    live = [q for q in solver.live_params(phi) if solver.tag(q) <= p // 2]
+    phi = [solver.reduce({idx: one}) for idx in range(orders * size)]
+    return solver.live_params(phi[:(cutoff + 1) * size]), phi
+
+
+def _solve_equivariance(source: AbModule, target: AbModule):
+    """Parametric solution of Phi . A = B . Phi + b^2 Phi' (see
+    ``_feed_orders``) at precision p = min(source.prec, target.prec).
+
+    Returns (live, build): the free parameters of tag (order) <= p // 2
+    that the solution depends on, and ``build(assign)``, the matrix Phi
+    when those parameters take the values in *assign* (0 where missing).
+    A free parameter of a later order is fixed only by equations beyond the
+    truncation.  The solver pivots on the largest parameter, so every
+    unknown numbered below a free q is independent of it: ``build({q: 1})``
+    has coefficient 1 at b^n in entry (t, j) and no term below b^n.
+    """
+    ks, kt = source.rank, target.rank
+    size = kt * ks
+    p = min(source.prec, target.prec)
+    solver = ParamSolver()
+    for _ in _feed_orders(solver, source, target):
+        pass
+    live, phi = _unit_solutions(solver, size, p, p // 2)
 
     def build(assign):
         return tuple(
@@ -152,29 +187,132 @@ def _solve_equivariance(source: AbModule, target: AbModule):
     return live, build
 
 
+@derived
+def _eigen_chain(module: AbModule, beta):
+    """Unit solutions of the E_beta -> module system at each precision
+    p - m, m = 0..p // 2, from one elimination at precision p.
+
+    Entry m is the state after order p - m - 1: per live parameter of tag
+    <= p // 2 - m, the k coefficient columns of its unit solution, of
+    which the first p - m coefficients are this state's.  A later order
+    seldom changes an earlier coefficient, so the states share what they
+    can: a column is a list that the next state extends in place when
+    its new order leaves the earlier coefficients unchanged, and a new
+    column keeps the objects of the coefficients that did not change.
+    ``eigen_elements`` reads entry m for lambda = beta + m.
+    """
+    p, k = module.prec, module.rank
+    one, zero = Fraction(1), Fraction(0)
+    states = [None] * (p // 2 + 1)
+    last = {}
+    solver = ParamSolver()
+    for n in _feed_orders(solver, module_e_lambda(beta, p), module):
+        m = p - 1 - n
+        if m > p // 2:
+            continue
+        live, phi = _unit_solutions(solver, k, n + 1, p // 2 - m)
+        cols = {}
+        for q in live:
+            # nothing below b^tag(q) (see _solve_equivariance)
+            start = solver.tag(q)
+            prev = last.get(q, (None,) * k)
+            cols[q] = tuple(
+                _extended(prev[t], [zero] * start + [
+                    solver.evaluate(phi[i * k + t], {q: one})
+                    for i in range(start, n + 1)])
+                for t in range(k))
+        states[m] = tuple(cols.values())
+        last = cols
+    return states
+
+
+def _extended(run, col):
+    """*run* with the last entry of *col* appended when *col* extends it
+    by that entry, else *col*, whose entries equal to run's at the same
+    index are replaced by run's objects."""
+    if run is None:
+        return col
+    col[:len(run)] = [o if o == v else v for o, v in zip(run, col)]
+    if col[:-1] == run:
+        run.append(col[-1])
+        return run
+    return col
+
+
+def _vanishes_at_b0(module: AbModule, mu, length):
+    """Whether every solution of the E_mu -> module system at precision
+    *length* has a zero b^0 term: the orders fed, at most *length*, have
+    eliminated every order-0 unknown to zero.
+
+    Kept in the module's memo like a ``derived`` result, but looked up
+    directly: ``eigen_elements`` asks once per shift it walks, about 1700
+    times per ``deep_precision`` pass, and ``derived`` binds the signature
+    on every call.
+    """
+    key = (_vanishes_at_b0, mu, length)
+    hit = module.memo.get(key)
+    if hit is None:
+        hit = False
+        solver = ParamSolver()
+        for _ in _feed_orders(solver, module_e_lambda(mu, length), module):
+            if solver.zero.issuperset(range(module.rank)):
+                hit = True
+                break
+        module.memo[key] = hit
+    return hit
+
+
 def eigen_elements(module: AbModule, lam) -> Lattice:
     """The lattice spanned by the solutions of (a - lambda b) x = 0, solved
     order by order in b.
 
     A solution is the image of e under an a-equivariant map E_lambda -> E,
     where a e = lambda b e.  Solutions of the truncated system whose
-    valuation exceeds prec // 2 are not solved for (``_solve_equivariance``
-    keeps the parameters of order <= prec // 2, and the solution of a
-    parameter of order n has valuation n): their defining constraints
+    valuation exceeds prec // 2 are not solved for (only the parameters of
+    order <= prec // 2 are kept, and the solution of a parameter of order
+    n has valuation n; see ``_solve_equivariance``): their defining constraints
     lie beyond the truncation order, so they are indistinguishable from
     zero and carry no structure.  Only the span is returned: the reduced
     basis divides vectors by units, and a unit multiple of a solution is
     in general not one (on ``fresco [(4/3, 1 - b), (1/3, 1)]`` with
     lambda = 4/3 the solution (-1/3 b + 1/3 b^2) e0 + (1 - b) e1 becomes
     the basis vector (-1/3 b) e0 + e1).
+
+    The solutions are not solved for per lambda.  If every solution at
+    precision p vanishes below order m, the system is the E_(lambda - m)
+    system at precision p - m shifted by b^m: the two tables differ only
+    in the diagonal lambda - B_1[t][t] - (n - 1), the renumbering
+    q -> q + m*k keeps the parameter order and with it the solver's
+    unique reduced echelon form, and the live tags <= p // 2 become
+    <= p // 2 - m.  So the unit solutions are entry m of
+    ``_eigen_chain(module, lambda - m)``, padded with m zero
+    coefficients, and every lambda of one chain shares its elimination.
+
+    m comes from a zero-prefix check.  Once the solutions vanish below v,
+    x / b^v solves the E_(lambda - v) system at precision p - v, so they
+    vanish below v + 1 iff that system eliminates every order-0 unknown
+    to zero; m is the first v where this fails.  The check feeds at most
+    the first min(p - v, k + 2) orders of that system, and stops once the
+    order-0 unknowns are zero: fewer equations can only leave more
+    unknowns free, so a check that passes is exact, and one that fails
+    early only gives a smaller m, for which the shift still holds.  The
+    bound k + 2 affects only speed; feeding orders beyond p - v would use
+    equations past the truncation.  Past m = p // 2 no parameter is live.
     """
-    p = module.prec
-    if module.rank == 0 or p < 2:
+    p, k = module.prec, module.rank
+    if k == 0 or p < 2:
         return zero_lattice(module)
-    live, build = _solve_equivariance(module_e_lambda(lam, p), module)
+    lam = rat(lam)
+    for m in range(p // 2 + 1):
+        if not _vanishes_at_b0(module, lam - m, min(p - m, k + 2)):
+            break
+    else:
+        return lattice_reduce([], host=module)
+    zeros = [Fraction(0)] * m
     return lattice_reduce(
-        [module.element([row[0] for row in build({q: Fraction(1)})])
-         for q in live], host=module)
+        [module.element([TruncSeries._exact(zeros + col[:p - m], p)
+                         for col in cols])
+         for cols in _eigen_chain(module, lam - m)[m]], host=module)
 
 
 # -- semi-simple part and filtration -------------------------------------

@@ -6,10 +6,16 @@ parameter in favour of the others, keeping all stored substitutions fully
 reduced, so equations fed order by order let later consistency conditions
 cut earlier degrees of freedom.  The stored substitutions are the unique
 reduced row-echelon form of the span of the equations (pivot: the largest
-parameter), whatever equivalent equations were fed.  Its one user is
-``decomposition._solve_equivariance``, the equivariant-map solver behind
-both eigen-elements (maps from E_lambda) and embeddings into expansion
-modules; it creates every unknown up front and then feeds the equations.
+parameter), whatever equivalent equations were fed.  Its users are in
+``decomposition``, and all feed it through ``_feed_orders``, the one
+elimination loop for equivariant maps, which creates every unknown up
+front and then feeds the equations order by order:
+
+* ``_solve_equivariance``, the parametric solution behind embeddings into
+  expansion modules (``asymptotics``);
+* ``_eigen_chain``, the eigen-element solutions (maps from E_lambda) of
+  every shift lambda + m, read after each late order of one elimination;
+* ``_vanishes_at_b0``, the zero-prefix check that finds the shift m.
 
 Two indexes keep the work to the entries that can change:
 

@@ -74,9 +74,9 @@ class TestEigenElements:
             assert (g.act_a() - g.act_b().scale(F(3, 2))).is_zero_known()
 
 
-def reference_eigen_elements(module, lam):
+def coordinate_eigen_elements(module, lam):
     """The order-by-order solver of (a - lambda b) x = 0 written directly
-    on the coordinates of x, kept as the reference for eigen_elements."""
+    on the coordinates of x, kept as a reference for eigen_elements."""
     k = module.rank
     p = module.prec
     cutoff = p // 2
@@ -130,7 +130,7 @@ def fresco_and_lambda(draw):
 def test_eigen_elements_match_the_reference_solver(case):
     module, lam = case
     lat = eigen_elements(module, lam)
-    ref = reference_eigen_elements(module, lam)
+    ref = coordinate_eigen_elements(module, lam)
     assert lat.basis == ref.basis
     assert lat.pivots == ref.pivots
     # the solutions are eigen-elements; the lattice basis is normalised by
@@ -161,6 +161,102 @@ def test_unit_solution_of_an_order_n_parameter_has_valuation_n(case):
         assert x.coords[t].coeffs[n] == 1
         assert all(not any(e.coeffs[:n]) for e in x.coords)
         assert x.valuation_lower_bound() == n
+
+
+def reference_eigen_elements(module, lam):
+    """One equivariance solve E_lambda -> module per lambda, as
+    eigen_elements did before its solves shared one elimination per
+    exponent chain; kept as the reference for that sharing."""
+    p = module.prec
+    if module.rank == 0 or p < 2:
+        return zero_lattice(module)
+    live, build = decomposition._solve_equivariance(
+        module_e_lambda(lam, p), module)
+    return lattice_reduce(
+        [module.element([row[0] for row in build({q: F(1)})])
+         for q in live], host=module)
+
+
+def lattice_outcome(fn, *args):
+    """The basis coordinates, precisions and pivots of fn(*args), or the
+    type and message of the error it raises."""
+    try:
+        lat = fn(*args)
+    except AbmodError as exc:
+        return type(exc), str(exc)
+    return [[(e.coeffs, e.prec) for e in vec] for vec in lat.basis], \
+        lat.pivots
+
+
+@settings(PROPS, max_examples=30)
+@given(geometric_fresco(min_prec=2))
+def test_shared_chain_matches_one_solve_per_lambda(module):
+    """On a fresco, its saturation, its filtration quotients and its
+    primitive parts, eigen_elements at lambda0 + m, m = -2..prec // 2 + 1,
+    for every negated Bernstein root lambda0, equals the direct solve.
+    One module object answers every lambda, so later lambdas read the
+    chains and zero-prefix checks that earlier ones left in its memo."""
+    for m in modules_around(module):
+        try:
+            roots = [v for v, _ in require_geometric(m)["roots"]]
+        except AbmodError as exc:
+            event(type(exc).__name__)
+            continue
+        lams = dict.fromkeys(-r + shift for r in sorted(set(roots))
+                             for shift in range(-2, m.prec // 2 + 2))
+        for lam in lams:
+            assert lattice_outcome(eigen_elements, m, lam) \
+                == lattice_outcome(reference_eigen_elements, m, lam)
+        event(f"rank {m.rank}")
+
+
+def fresco_module(prec, *factors):
+    """The module of ``fresco [(lambda, unit), ...]`` at precision prec,
+    each unit given by its list of coefficients."""
+    return fresco_from_presentation(FrescoPresentation(
+        [(F(lam), TruncSeries(unit, prec)) for lam, unit in factors], prec),
+        prec).module
+
+
+def test_zero_prefix_check_stays_within_the_truncation():
+    """The solution at lambda = 13/3 has valuation 2, so it is the b^2
+    shift of a solution of the E_7/3 system at precision 3.  The check at
+    v = 2 may feed 3 orders of that system, not k + 2 = 4: the fourth
+    order lies beyond the truncation and eliminates the solution."""
+    module = fresco_module(5, ("4/3", [1, F(1, 2)]), ("4/3", [1, 2]))
+    lat = eigen_elements(module, F(13, 3))
+    assert lat.rank == 1
+    assert [g.valuation_lower_bound() for g in lat.basis_elements()] == [2]
+    assert lattice_outcome(eigen_elements, module, F(13, 3)) \
+        == lattice_outcome(reference_eigen_elements, module, F(13, 3))
+
+
+@pytest.mark.parametrize("factors, most", [
+    ((("4/3", [1, -1]), ("1/3", [1])), 600),
+    ((("10/3", [1]), ("7/3", [1, -1]), ("4/3", [1])), 1000),
+], ids=["rank2", "rank3"])
+def test_eigen_solves_share_one_elimination_per_chain(monkeypatch, factors,
+                                                      most):
+    """The deep-precision benchmark modules at precision 64: 33 candidate
+    lambdas each.  One solve per lambda fed 33 * 64 * k equations (4224
+    and 6336); one chain per base exponent and the zero-prefix checks
+    feed less than a sixth of that."""
+    seen = {"solves": 0, "equations": 0}
+    solve, add = decomposition.eigen_elements, ParamSolver.add_equation
+
+    def counted_solve(*args):
+        seen["solves"] += 1
+        return solve(*args)
+
+    def counted_add(self, form):
+        seen["equations"] += 1
+        return add(self, form)
+
+    monkeypatch.setattr(decomposition, "eigen_elements", counted_solve)
+    monkeypatch.setattr(ParamSolver, "add_equation", counted_add)
+    semisimple_part(fresco_module(64, *factors))
+    assert seen["solves"] == 33
+    assert seen["equations"] <= most
 
 
 @settings(PROPS, max_examples=40)

@@ -269,3 +269,14 @@ def test_random_frescos_session_matches_its_golden_output():
         (GOLDEN / "random_frescos.abm").read_text()))
     assert report.to_text() == (GOLDEN / "random_frescos.txt").read_text()
     assert report.to_json() == (GOLDEN / "random_frescos.json").read_text()
+
+
+def test_long_precision_session_matches_its_golden_output():
+    """8 seeded geometric frescos at precision 32-64 through show
+    filtration and show higher_bernstein, where an eigen-element
+    candidate is shifted by up to prec // 2; the header of
+    long_precision.abm says what the pinned output covers."""
+    report = run_session(parse_session(
+        (GOLDEN / "long_precision.abm").read_text()))
+    assert report.to_text() == (GOLDEN / "long_precision.txt").read_text()
+    assert report.to_json() == (GOLDEN / "long_precision.json").read_text()
