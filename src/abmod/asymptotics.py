@@ -179,13 +179,14 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None) -> Embedding:
     are solved order by order, one solve per (class, depth) block of the
     target, shared by every dim V (``_xi_tensor_solution``).  The free
     parameters are then set to each unit vector and to (1, 2, 3, ...) in
-    turn, and the first equivariant choice of full column rank over the
-    series fraction field is returned.  A unit vector is nonzero only on
-    its block's depth+1 rows, so when depth+1 < rank its candidates cannot
+    turn, and the first choice of full column rank over the series
+    fraction field is returned.  A unit vector is nonzero only on its
+    block's depth+1 rows, so when depth+1 < rank its candidates cannot
     have full rank and are not built; their rank checks could not raise
     either, since the reduction never lowers the least entry precision.
-    The image of an injective equivariant map has the source's Bernstein
-    polynomial, so a mismatch raises ValidationFailed.
+    Every choice solves the equations through order p - 1, and the image
+    of an injective equivariant map has the source's Bernstein polynomial,
+    so a failed equivariance check or a mismatch raises ValidationFailed.
     """
     cert = require_geometric(module)
     sat = saturate(module)
@@ -225,7 +226,9 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None) -> Embedding:
                 emb = Embedding(source=src, target=target, matrix=mat,
                                 classes=classes, depth=n_depth, dim_v=dv)
                 if not emb.check_equivariance():
-                    continue
+                    raise ValidationFailed(
+                        "solved map is not equivariant for (depth, dimV) = "
+                        f"{(n_depth, dv)}")
                 if _image_bernstein(emb) != bernstein_polynomial(
                         src, mode="minimal"):
                     raise ValidationFailed(

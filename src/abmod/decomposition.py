@@ -14,8 +14,10 @@ m; it feeds at most min(p - v, k + 2) orders of the system at
 lambda + m - v, never an equation past the truncation.  The algorithmic
 choices the underlying theory leaves open (the eigen-span hull realizing
 the first filtration step, the candidate bound for lambda: negated
-Bernstein roots shifted by 0..prec // 2) are validated post hoc; failures
-surface as diagnostics, and never as silently wrong answers.  The
+Bernstein roots shifted by 0..prec // 2) are validated post hoc, and a
+failed validation surfaces as a diagnostic.  The validation does not
+catch every wrong answer: on some geometric frescos the filtration comes
+out too short with no diagnostic (ROADMAP open item 1).  The
 candidates are solved only until the first step is decided: a rank-1
 module is its own semi-simple part with no solve, and once the
 eigen-span reaches full rank the remaining candidates are skipped.
@@ -239,27 +241,16 @@ def _extended(run, col):
     return col
 
 
+@derived
 def _vanishes_at_b0(module: AbModule, mu, length):
     """Whether every solution of the E_mu -> module system at precision
     *length* has a zero b^0 term: the orders fed, at most *length*, have
-    eliminated every order-0 unknown to zero.
-
-    Kept in the module's memo like a ``derived`` result, but looked up
-    directly: ``eigen_elements`` asks once per shift it walks, about 1700
-    times per ``deep_precision`` pass, and ``derived`` binds the signature
-    on every call.
-    """
-    key = (_vanishes_at_b0, mu, length)
-    hit = module.memo.get(key)
-    if hit is None:
-        hit = False
-        solver = ParamSolver()
-        for _ in _feed_orders(solver, module_e_lambda(mu, length), module):
-            if solver.zero.issuperset(range(module.rank)):
-                hit = True
-                break
-        module.memo[key] = hit
-    return hit
+    eliminated every order-0 unknown to zero."""
+    solver = ParamSolver()
+    for _ in _feed_orders(solver, module_e_lambda(mu, length), module):
+        if solver.zero.issuperset(range(module.rank)):
+            return True
+    return False
 
 
 def eigen_elements(module: AbModule, lam) -> Lattice:
@@ -408,6 +399,7 @@ class Filtration:
 
     host: AbModule
     steps: tuple          # lattices S_1 c ... c S_d = E
+    parts: tuple          # S_1, then S_1(E/S_{j-1}) in its quotient module
     diagnostics: list = field(default_factory=list)
 
     @property
@@ -415,15 +407,13 @@ class Filtration:
         return len(self.steps)
 
     def level_module(self, j: int) -> AbModule:
-        """The module S_j / S_{j-1} (1-indexed)."""
-        sub = sub_module_structure(self.steps[j - 1])
-        if j == 1:
-            return sub.module
-        prev = self.steps[j - 2]
-        inner = lattice_reduce(
-            [sub.to_sub_coords(g) for g in prev.basis_elements()],
-            host=sub.module)
-        return quotient_module(sub.module, inner).module
+        """The module S_j / S_{j-1} (1-indexed): S_1(E/S_{j-1}), which is
+        the quotient module itself (E for j = 1) when the part is all of
+        it, else the part's sub-module structure."""
+        part = self.parts[j - 1]
+        if part.rank == part.host.rank:
+            return part.host
+        return sub_module_structure(part).module
 
     def to_json(self):
         return {
@@ -437,13 +427,13 @@ def semisimple_filtration(module: AbModule) -> Filtration:
     """S_1 = semi-simple part; S_{j+1} = preimage of the part of E/S_j."""
     diagnostics = []
     if module.rank == 0:
-        return Filtration(module, (), diagnostics)
+        return Filtration(module, (), (), diagnostics)
     part, diags = semisimple_part(module)
     diagnostics.extend(diags)
     if part.is_zero():
         raise ValidationFailed(
             "semi-simple part of a nonzero geometric module came out zero")
-    steps = [part]
+    steps, parts = [part], [part]
     while steps[-1].rank < module.rank:
         quot = quotient_module(module, steps[-1])
         qpart, qdiags = semisimple_part(quot.module)
@@ -455,10 +445,13 @@ def semisimple_filtration(module: AbModule) -> Filtration:
         if nxt.rank <= steps[-1].rank:
             raise ValidationFailed("filtration failed to increase strictly")
         steps.append(nxt)
+        parts.append(qpart)
+        if nxt.rank < module.rank:  # only the last quotient is read again
+            quot.module.memo.clear()
     for s in steps:
         if not is_normal(s):
             diagnostics.append("a filtration step is not normal")
-    return Filtration(module, tuple(steps), diagnostics)
+    return Filtration(module, tuple(steps), tuple(parts), diagnostics)
 
 
 # -- primitive decomposition ---------------------------------------------
@@ -478,11 +471,6 @@ class PrimitiveSplit:
         if self.quotient is None:
             return self.host
         return self.quotient.module
-
-    def project(self, x):
-        if self.quotient is None:
-            return x
-        return self.quotient.project(x)
 
     def project_lattice(self, lat):
         if self.quotient is None:
@@ -633,10 +621,11 @@ def _off_class_columns(module: AbModule, cmat, k_in):
 
 
 def _checked_split(module, cls_set, e_not, mode, diagnostics):
-    """The split with quotient E / e_not; the part's Bernstein polynomial
-    must equal the class part of the module's Bernstein polynomial."""
-    split = PrimitiveSplit(module, cls_set, e_not,
-                           quotient_module(module, e_not), diagnostics)
+    """The split with quotient E / e_not, or E itself when e_not is zero;
+    the part's Bernstein polynomial must equal the class part of the
+    module's Bernstein polynomial."""
+    quot = None if e_not.is_zero() else quotient_module(module, e_not)
+    split = PrimitiveSplit(module, cls_set, e_not, quot, diagnostics)
     b_poly = bernstein_polynomial(module, mode=mode)
     if not b_poly.is_split():
         diagnostics.append("class comparison skipped: unsplit Bernstein factor")

@@ -9,7 +9,6 @@ a(S x) = S (a x) + b^2 S' x holds automatically.
 from __future__ import annotations
 
 import functools
-import inspect
 
 from .errors import BadAlpha, HostMismatch, NonSquare, PrecisionExhausted
 from .operators import AbOperator
@@ -221,16 +220,28 @@ def derived(fn):
     The result is kept in the module's memo under the function and the
     other arguments, defaults filled in, so every caller gets the same
     object and must not mutate it.  A call that raises keeps nothing.
+    The parameter names and defaults are read once, here.
     """
-    signature = inspect.signature(fn)
+    code = fn.__code__
+    names = code.co_varnames[1:code.co_argcount]
+    given = fn.__defaults__ or ()
+    defaults = dict(zip(names[len(names) - len(given):], given))
 
     @functools.wraps(fn)
     def once(module, *args, **kwargs):
-        bound = signature.bind(module, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn,) + bound.args[1:]
+        if len(args) < len(names):
+            try:
+                args += tuple(kwargs.pop(n) if n in kwargs else defaults[n]
+                              for n in names[len(args):])
+            except KeyError as exc:
+                raise TypeError(f"{fn.__name__}() missing argument "
+                                f"{exc}") from None
+        if kwargs:
+            raise TypeError(f"{fn.__name__}() got an unexpected keyword "
+                            f"argument {next(iter(kwargs))!r}")
+        key = (fn,) + args
         if key not in module.memo:
-            module.memo[key] = fn(*bound.args)
+            module.memo[key] = fn(module, *args)
         return module.memo[key]
 
     return once

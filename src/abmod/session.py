@@ -400,13 +400,8 @@ def _show_higher_bernstein(binding):
     return hb.to_json(), text, list(hb.diagnostics)
 
 
-def _embedding(binding):
-    """The one embedding search behind ``embed`` and ``expansion``."""
-    return embed_into_xi(binding.module)
-
-
 def _show_embed(binding):
-    emb = _embedding(binding)
+    emb = embed_into_xi(binding.module)
     classes = [rat_str(a) for a in emb.classes]
     matrix = [[e.render() for e in row] for row in emb.matrix]
     text = ["embedded into xi with classes " + ", ".join(classes)
@@ -424,7 +419,7 @@ def _show_expansion(binding):
     else:
         elems = [(f"e{j}", module.basis(j)) for j in range(module.rank)]
     if binding.kind != "xi":
-        emb = _embedding(binding)
+        emb = embed_into_xi(binding.module)
         elems = [(label, emb.apply(el)) for label, el in elems]
     realized = [realize_expansion(el, 8) for _, el in elems]
     text = [f"{label}: " + (" + ".join(t.render() for t in ts) or "0")

@@ -167,6 +167,14 @@ class TestEmbedding:
             embed_into_xi(module_e_lambda(F(3, 2), P))
         assert "(0, 1)" in str(err.value)
 
+    def test_failed_equivariance_check_raises(self, monkeypatch):
+        monkeypatch.setattr(asymptotics.Embedding, "check_equivariance",
+                            lambda emb: False)
+        with pytest.raises(ValidationFailed) as err:
+            embed_into_xi(module_e_lambda(F(3, 2), P))
+        assert "not equivariant" in str(err.value)
+        assert "(0, 1)" in str(err.value)
+
     def test_apply_rejects_foreign_elements(self):
         emb = embed_into_xi(module_e_lambda(F(3, 2), P))
         with pytest.raises(HostMismatch):

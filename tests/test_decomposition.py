@@ -581,6 +581,48 @@ class TestFiltration:
             semisimple_filtration(module_e_lambda(F(-1), P))
 
 
+def reference_level_module(filt, j):
+    """S_j / S_{j-1} from the steps alone: the sub-module structure of S_j
+    divided by S_{j-1}, taken in its coordinates."""
+    sub = sub_module_structure(filt.steps[j - 1])
+    if j == 1:
+        return sub.module
+    inner = lattice_reduce(
+        [sub.to_sub_coords(g) for g in filt.steps[j - 2].basis_elements()],
+        host=sub.module)
+    return quotient_module(sub.module, inner).module
+
+
+def level_outcome(fn, *args):
+    """The rank and characteristic Bernstein polynomial of the module
+    fn(*args), or the type of the error raised on the way."""
+    try:
+        level = fn(*args)
+        return level.rank, bernstein_polynomial(level, mode="characteristic")
+    except AbmodError as exc:
+        return type(exc)
+
+
+@settings(PROPS, max_examples=40)
+@given(geometric_fresco(min_prec=2))
+def test_level_modules_match_the_quotients_of_the_steps(module):
+    """Each level module, taken from the semi-simple part the filtration
+    computed, is isomorphic to S_j / S_{j-1}; the top one is the module
+    (or quotient module) that part was computed on."""
+    for m in modules_around(module):
+        try:
+            filt = semisimple_filtration(m)
+        except AbmodError as exc:
+            event(f"filtration raises {type(exc).__name__}")
+            continue
+        d = filt.nilpotent_order
+        if d:
+            assert filt.level_module(d) is filt.parts[-1].host
+        for j in range(1, d + 1):
+            assert level_outcome(filt.level_module, j) \
+                == level_outcome(reference_level_module, filt, j)
+
+
 class TestPrimitiveSplit:
     def test_block_diagonal(self):
         m = direct_sum(module_e_lambda(F(1, 2), P), module_e_lambda(F(1, 3), P))
@@ -614,7 +656,7 @@ class TestPrimitiveSplit:
         fr = theme()
         split = primitive_split(fr.module, {F(1, 2)}, mode="characteristic")
         assert split.not_part.is_zero()
-        assert split.part_module.rank == 2
+        assert split.quotient is None and split.part_module is fr.module
 
     def test_no_classes_kills_everything(self):
         fr = theme()

@@ -81,6 +81,17 @@ class TestMemo:
         assert bernstein_polynomial(m) is bernstein_polynomial(m, "minimal")
         assert saturate(theme_module()) is not saturate(m)
 
+    def test_derived_keys_fill_defaults_and_reject_unknown_keywords(self):
+        m = theme_module()
+        poly = bernstein_polynomial(m)
+        assert bernstein_polynomial(m, "minimal") is poly
+        assert bernstein_polynomial(m, mode="minimal") is poly
+        assert bernstein_polynomial(m, mode="characteristic") is not poly
+        with pytest.raises(TypeError):
+            bernstein_polynomial(m, modus="minimal")
+        with pytest.raises(TypeError):
+            bernstein_polynomial(m, "minimal", mode="minimal")
+
     def test_cap_below_cached_steps_raises_as_a_fresh_run(self):
         m = theme_module()
         s = saturate(m).steps

@@ -164,6 +164,20 @@ class TestRun:
         assert not report.failed
         assert len(bodies) == 2 * alone
 
+    def test_worked_theme_saturates_each_module_once(self, monkeypatch):
+        steps = []
+        run_body = saturation._shifted_basis_images
+        monkeypatch.setattr(saturation, "_shifted_basis_images",
+                            lambda lat, m: steps.append(m) or run_body(lat, m))
+        lines = (SESSIONS / "worked_theme.abm").read_text().splitlines(True)
+        text = "".join(line for line in lines
+                       if not line.startswith(("show embed", "show expansion")))
+        assert not run_session(parse_session(text)).failed
+        # one run (starting at step 0) each for F, the validation sub-module
+        # of S_1, F/S_1 and the level module S_1; the one-class primitive
+        # part is F, and the top level module is F/S_1
+        assert steps.count(0) == 4
+
 
 class TestCli:
     def _run(self, args, stdin=""):
