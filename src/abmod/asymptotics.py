@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (AbmodError, HostMismatch, NoEmbeddingFound,
+from .errors import (AbmodError, HostMismatch, NoEmbeddingFound, NonSquare,
                      PrecisionExhausted, ValidationFailed)
 from .lattices import _reduce_vectors, lattice_reduce, sub_module_structure
 from .modules import (AbModule, ModuleElement, build_xi_tensor, derived,
@@ -36,10 +36,8 @@ class DiffSystem:
     def __post_init__(self):
         rows = tuple(tuple(tuple(rat(c) for c in e) for e in row)
                      for row in self.entries)
-        k = len(rows)
-        for row in rows:
-            if len(row) != k:
-                raise ValueError("system matrix must be square")
+        if any(len(row) != len(rows) for row in rows):
+            raise NonSquare("system matrix must be square")
         object.__setattr__(self, "entries", rows)
 
     @property

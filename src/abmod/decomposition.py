@@ -14,13 +14,13 @@ m; it feeds at most min(p - v, k + 2) orders of the system at
 lambda + m - v, never an equation past the truncation.  The algorithmic
 choices the underlying theory leaves open (the eigen-span hull realizing
 the first filtration step, the candidate bound for lambda: negated
-Bernstein roots shifted by 0..prec // 2) are validated post hoc, and a
-failed validation surfaces as a diagnostic.  The validation does not
-catch every wrong answer: on some geometric frescos the filtration comes
-out too short with no diagnostic (ROADMAP open item 1).  The
-candidates are solved only until the first step is decided: a rank-1
-module is its own semi-simple part with no solve, and once the
-eigen-span reaches full rank the remaining candidates are skipped.
+Bernstein roots shifted by 0..prec // 2) are validated post hoc by the
+filtration, on the level modules it keeps, and a failed validation is a
+diagnostic.  It does not catch every wrong answer: on some geometric
+frescos the filtration comes out too short with no diagnostic (ROADMAP
+open item 1).  The candidates are solved only until the first step is
+decided: a rank-1 module is its own semi-simple part with no solve, and
+once the eigen-span reaches full rank the remaining candidates are skipped.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def semisimple_part(module: AbModule):
       be full.
 
     A span that never reaches full rank gives the hull of all candidates'
-    eigen-elements.
+    eigen-elements.  The hull is validated by ``semisimple_filtration``.
     """
     diagnostics = []
     if module.rank == 0:
@@ -352,17 +352,7 @@ def semisimple_part(module: AbModule):
     if not elems:
         diagnostics.append("no eigen-elements found; semi-simple part is zero")
         return zero_lattice(module), diagnostics
-    hull = normal_hull(lattice_reduce(elems, host=module))
-    try:
-        sub = sub_module_structure(hull)
-    except NotAStable as exc:
-        diagnostics.append(f"eigen-span hull is not a-stable: {exc}")
-        return hull, diagnostics
-    if hull.rank < module.rank:
-        if not _is_semisimple_inner(sub.module):
-            diagnostics.append(
-                "eigen-span hull failed its own semi-simplicity validation")
-    return hull, diagnostics
+    return normal_hull(lattice_reduce(elems, host=module)), diagnostics
 
 
 def _is_semisimple_inner(module: AbModule) -> bool:
@@ -399,27 +389,36 @@ class Filtration:
 
     host: AbModule
     steps: tuple          # lattices S_1 c ... c S_d = E
-    parts: tuple          # S_1, then S_1(E/S_{j-1}) in its quotient module
+    levels: tuple         # modules S_j / S_{j-1}, from ``_level_module``
     diagnostics: list = field(default_factory=list)
 
     @property
     def nilpotent_order(self) -> int:
         return len(self.steps)
 
-    def level_module(self, j: int) -> AbModule:
-        """The module S_j / S_{j-1} (1-indexed): S_1(E/S_{j-1}), which is
-        the quotient module itself (E for j = 1) when the part is all of
-        it, else the part's sub-module structure."""
-        part = self.parts[j - 1]
-        if part.rank == part.host.rank:
-            return part.host
-        return sub_module_structure(part).module
-
     def to_json(self):
         return {
             "nilpotent_order": self.nilpotent_order,
             "step_ranks": [s.rank for s in self.steps],
         }
+
+
+def _level_module(part: Lattice, diagnostics: list):
+    """The module S_1(M) for the semi-simple part *part* of M = part.host:
+    M itself when the part is all of it, else the part's sub-module
+    structure, validated as semi-simple (a failure is a diagnostic).  None
+    when the part is not a-stable; the quotient by it then raises."""
+    if part.rank == part.host.rank:
+        return part.host
+    try:
+        level = sub_module_structure(part).module
+    except NotAStable as exc:
+        diagnostics.append(f"eigen-span hull is not a-stable: {exc}")
+        return None
+    if not _is_semisimple_inner(level):
+        diagnostics.append(
+            "eigen-span hull failed its own semi-simplicity validation")
+    return level
 
 
 @derived
@@ -433,7 +432,7 @@ def semisimple_filtration(module: AbModule) -> Filtration:
     if part.is_zero():
         raise ValidationFailed(
             "semi-simple part of a nonzero geometric module came out zero")
-    steps, parts = [part], [part]
+    steps, levels = [part], [_level_module(part, diagnostics)]
     while steps[-1].rank < module.rank:
         quot = quotient_module(module, steps[-1])
         qpart, qdiags = semisimple_part(quot.module)
@@ -441,17 +440,17 @@ def semisimple_filtration(module: AbModule) -> Filtration:
         if qpart.is_zero():
             raise ValidationFailed(
                 "filtration stalled: quotient has zero semi-simple part")
+        levels.append(_level_module(qpart, diagnostics))
         nxt = quot.preimage_lattice(qpart)
         if nxt.rank <= steps[-1].rank:
             raise ValidationFailed("filtration failed to increase strictly")
         steps.append(nxt)
-        parts.append(qpart)
         if nxt.rank < module.rank:  # only the last quotient is read again
             quot.module.memo.clear()
     for s in steps:
         if not is_normal(s):
             diagnostics.append("a filtration step is not normal")
-    return Filtration(module, tuple(steps), tuple(parts), diagnostics)
+    return Filtration(module, tuple(steps), tuple(levels), diagnostics)
 
 
 # -- primitive decomposition ---------------------------------------------
@@ -709,15 +708,13 @@ def _higher_bernstein(module: AbModule) -> HigherBernstein:
             continue
         filt = semisimple_filtration(part)
         diagnostics.extend(filt.diagnostics)
-        d = filt.nilpotent_order
-        part_rank = part.rank
         levels = []
-        for j in range(1, d + 1):
-            level_mod = filt.level_module(j)
-            level_poly = bernstein_polynomial(level_mod, mode="characteristic")
-            delta = part_rank - filt.steps[j - 1].rank
-            levels.append((j, delta, level_poly.shift(delta)))
-        per_class.append(ClassLevels(alpha, d, part_rank, tuple(levels)))
+        for j, (step, level) in enumerate(zip(filt.steps, filt.levels), 1):
+            delta = part.rank - step.rank
+            poly = bernstein_polynomial(level, mode="characteristic")
+            levels.append((j, delta, poly.shift(delta)))
+        per_class.append(ClassLevels(alpha, filt.nilpotent_order, part.rank,
+                                     tuple(levels)))
 
     dmax = max((c.nilpotent_order for c in per_class), default=0)
     assembled = []

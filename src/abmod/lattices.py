@@ -304,9 +304,13 @@ class Quotient:
         self._host = host
 
     def project(self, x: ModuleElement) -> ModuleElement:
+        if x.host is not self._host:
+            raise HostMismatch("element does not live in the quotient's host")
         return self.module.element(quot_project_raw(self, x))
 
     def lift(self, y: ModuleElement) -> ModuleElement:
+        if y.host is not self.module:
+            raise HostMismatch("element does not live in the quotient module")
         vec = [TruncSeries.zero(self._host.prec) for _ in range(self._host.rank)]
         for c, i in zip(y.coords, self.complement):
             vec[i] = c

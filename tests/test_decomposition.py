@@ -9,11 +9,12 @@ from hypothesis import event, given, settings, strategies as st
 import pytest
 
 from abmod import (AbmodError, NotAStable, NotGeometric, PrecisionExhausted,
-                   TruncSeries, bernstein_polynomial, build_xi_tensor,
-                   class_mod_z, eigen_elements, embed_into_xi,
-                   higher_bernstein, is_semisimple, module_e_lambda,
-                   module_from_matrix, primitive_split, saturate,
-                   semisimple_filtration, semisimple_part, xi_module)
+                   TruncSeries, ValidationFailed, bernstein_polynomial,
+                   build_xi_tensor, class_mod_z, eigen_elements,
+                   embed_into_xi, higher_bernstein, is_semisimple,
+                   module_e_lambda, module_from_matrix, primitive_split,
+                   saturate, semisimple_filtration, semisimple_part,
+                   xi_module)
 from abmod import decomposition
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
 from abmod.lattices import (full_lattice, is_normal, lattice_reduce,
@@ -403,26 +404,11 @@ class TestSemisimplePart:
         sub = sub_module_structure(part)
         assert bernstein_polynomial(sub.module).roots == ((F(-3, 2), 1),)
 
-    def test_unstable_hull_is_a_diagnostic(self, monkeypatch):
-        def unstable(lat):
-            raise NotAStable("forced")
-        monkeypatch.setattr(decomposition, "sub_module_structure", unstable)
-        part, diags = semisimple_part(xi_module(F(1, 2), 1, P))
-        assert part.rank == 1
-        assert diags == ["eigen-span hull is not a-stable: forced"]
-
-    def test_other_errors_propagate(self, monkeypatch):
-        def broken(lat):
-            raise TypeError("a bug, not a diagnostic")
-        monkeypatch.setattr(decomposition, "sub_module_structure", broken)
-        with pytest.raises(TypeError):
-            semisimple_part(xi_module(F(1, 2), 1, P))
-
 
 def reference_semisimple_part(module):
     """``semisimple_part`` without its stopping rules: every candidate
-    lambda is solved, in root order, and the hull validates itself through
-    this function.  Kept as the reference for the early returns."""
+    lambda is solved, in root order.  Kept as the reference for the early
+    returns."""
     diagnostics = []
     if module.rank == 0:
         return full_lattice(module), diagnostics
@@ -439,18 +425,7 @@ def reference_semisimple_part(module):
     if not elems:
         diagnostics.append("no eigen-elements found; semi-simple part is zero")
         return zero_lattice(module), diagnostics
-    hull = normal_hull(lattice_reduce(elems, host=module))
-    try:
-        sub = sub_module_structure(hull)
-    except NotAStable as exc:
-        diagnostics.append(f"eigen-span hull is not a-stable: {exc}")
-        return hull, diagnostics
-    if hull.rank < module.rank:
-        inner, _ = reference_semisimple_part(sub.module)
-        if not (inner.rank == sub.module.rank and is_normal(inner)):
-            diagnostics.append(
-                "eigen-span hull failed its own semi-simplicity validation")
-    return hull, diagnostics
+    return normal_hull(lattice_reduce(elems, host=module)), diagnostics
 
 
 def part_outcome(fn, module):
@@ -512,7 +487,7 @@ def test_eigen_solves_stop_once_the_part_is_decided(monkeypatch, build,
                                                     solves, reductions):
     """At precision 16 each root has 9 candidates.  E_lambda needs no
     solve, the sum one per unshifted root; xi, whose span never has full
-    rank, solves its 9 and none for the rank-1 part it validates.  Each
+    rank, solves its 9 (its hull is validated by the filtration).  Each
     solve reduces its solutions once; the span is reduced only when its
     eigen-lattice ranks allow full rank (once for the sum), and otherwise
     once after the loop (xi)."""
@@ -561,8 +536,8 @@ class TestFiltration:
         filt = semisimple_filtration(theme().module)
         assert filt.nilpotent_order == 2
         assert [s.rank for s in filt.steps] == [1, 2]
-        assert bernstein_polynomial(filt.level_module(1)).roots == ((F(-3, 2), 1),)
-        assert bernstein_polynomial(filt.level_module(2)).roots == ((F(-1, 2), 1),)
+        assert bernstein_polynomial(filt.levels[0]).roots == ((F(-3, 2), 1),)
+        assert bernstein_polynomial(filt.levels[1]).roots == ((F(-1, 2), 1),)
 
     def test_steps_are_normal_stable_with_semisimple_quotients(self):
         filt = semisimple_filtration(xi_module(F(1, 3), 2, P))
@@ -574,11 +549,36 @@ class TestFiltration:
                 assert step.member(g.act_a())
             assert step.rank > prev_rank
             prev_rank = step.rank
-            assert is_semisimple(filt.level_module(j))
+            assert is_semisimple(filt.levels[j - 1])
 
     def test_non_geometric_rejected(self):
         with pytest.raises(NotGeometric):
             semisimple_filtration(module_e_lambda(F(-1), P))
+
+    def test_unstable_hull_is_a_diagnostic(self, monkeypatch):
+        def unstable(lat):
+            raise NotAStable("forced")
+        monkeypatch.setattr(decomposition, "sub_module_structure", unstable)
+        filt = semisimple_filtration(xi_module(F(1, 2), 1, P))
+        assert [s.rank for s in filt.steps] == [1, 2]
+        assert filt.diagnostics == ["eigen-span hull is not a-stable: forced"]
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(lat):
+            raise TypeError("a bug, not a diagnostic")
+        monkeypatch.setattr(decomposition, "sub_module_structure", broken)
+        with pytest.raises(TypeError):
+            semisimple_filtration(xi_module(F(1, 2), 1, P))
+
+    def test_each_part_short_of_its_module_is_validated(self, monkeypatch):
+        """The parts of rank 1 in xi (rank 3) and in its quotient by S_1
+        (rank 2) are validated; the last part is its whole quotient."""
+        monkeypatch.setattr(decomposition, "_is_semisimple_inner",
+                            lambda module: False)
+        filt = semisimple_filtration(xi_module(F(1, 3), 2, P))
+        assert [s.rank for s in filt.steps] == [1, 2, 3]
+        assert filt.diagnostics == [
+            "eigen-span hull failed its own semi-simplicity validation"] * 2
 
 
 def reference_level_module(filt, j):
@@ -606,9 +606,9 @@ def level_outcome(fn, *args):
 @settings(PROPS, max_examples=40)
 @given(geometric_fresco(min_prec=2))
 def test_level_modules_match_the_quotients_of_the_steps(module):
-    """Each level module, taken from the semi-simple part the filtration
-    computed, is isomorphic to S_j / S_{j-1}; the top one is the module
-    (or quotient module) that part was computed on."""
+    """Each level module, built once from the semi-simple part the
+    filtration computed, is isomorphic to S_j / S_{j-1}; the top one is the
+    module (or quotient module) that part was computed on."""
     for m in modules_around(module):
         try:
             filt = semisimple_filtration(m)
@@ -616,11 +616,73 @@ def test_level_modules_match_the_quotients_of_the_steps(module):
             event(f"filtration raises {type(exc).__name__}")
             continue
         d = filt.nilpotent_order
-        if d:
-            assert filt.level_module(d) is filt.parts[-1].host
+        assert len(filt.levels) == d
+        if d == 1:
+            assert filt.levels[0] is m
+        elif d:
+            top = quotient_module(m, filt.steps[-2]).module
+            assert filt.levels[-1].a_matrix == top.a_matrix
         for j in range(1, d + 1):
-            assert level_outcome(filt.level_module, j) \
+            assert level_outcome(lambda: filt.levels[j - 1]) \
                 == level_outcome(reference_level_module, filt, j)
+
+
+def reference_validation(part):
+    """The diagnostics of validating a semi-simple part: its sub-module
+    structure must exist and, unless the part is the whole module, have
+    the whole sub-module as its own reference part."""
+    try:
+        sub = sub_module_structure(part)
+    except NotAStable as exc:
+        return [f"eigen-span hull is not a-stable: {exc}"]
+    if part.rank < part.host.rank:
+        inner, _ = reference_semisimple_part(sub.module)
+        if not (inner.rank == sub.module.rank and is_normal(inner)):
+            return ["eigen-span hull failed its own semi-simplicity "
+                    "validation"]
+    return []
+
+
+def reference_filtration_diagnostics(module):
+    """The diagnostics of ``semisimple_filtration``, or the type and
+    message of its error, from reference parts each validated on a fresh
+    sub-module right after it is computed (the full part too)."""
+    diagnostics, steps = [], []
+    try:
+        while module.rank and (not steps or steps[-1].rank < module.rank):
+            quot = quotient_module(module, steps[-1]) if steps else None
+            part, diags = reference_semisimple_part(
+                quot.module if quot else module)
+            diagnostics += diags
+            if part.is_zero():
+                raise ValidationFailed(
+                    "filtration stalled: quotient has zero semi-simple part"
+                    if quot else "semi-simple part of a nonzero geometric "
+                    "module came out zero")
+            diagnostics += reference_validation(part)
+            nxt = quot.preimage_lattice(part) if quot else part
+            if steps and nxt.rank <= steps[-1].rank:
+                raise ValidationFailed(
+                    "filtration failed to increase strictly")
+            steps.append(nxt)
+    except AbmodError as exc:
+        return type(exc), str(exc)
+    return diagnostics + ["a filtration step is not normal"
+                          for s in steps if not is_normal(s)]
+
+
+@settings(PROPS, max_examples=30)
+@given(geometric_fresco(min_prec=2))
+def test_filtration_diagnostics_match_a_validating_reference(module):
+    """Validating only the parts short of their module, on the level
+    module the filtration keeps, gives the diagnostics and errors of
+    validating every part on a sub-module of its own."""
+    for m in modules_around(module):
+        try:
+            got = semisimple_filtration(m).diagnostics
+        except AbmodError as exc:
+            got = type(exc), str(exc)
+        assert got == reference_filtration_diagnostics(m)
 
 
 class TestPrimitiveSplit:

@@ -7,10 +7,11 @@ from hypothesis import event, given, settings, strategies as st
 
 import pytest
 
-from abmod import (AbmodError, NotAStable, NotNormal, PrecisionExhausted,
-                   TruncSeries, lattice_reduce, lattices, module_e_lambda,
-                   normal_hull, quotient_module, semisimple_filtration,
-                   xi_module)
+from abmod import (AbmodError, HostMismatch, NotAStable, NotNormal,
+                   PrecisionExhausted, TruncSeries, lattice_reduce, lattices,
+                   module_e_lambda, normal_hull, quotient_module,
+                   semisimple_filtration, xi_module)
+from abmod.frescos import FrescoPresentation, fresco_from_presentation
 from abmod.lattices import (_reduce_vectors, is_normal, kernel_of_series_map,
                             sub_module_structure, zero_lattice)
 from abmod.modules import AbModule, ModuleElement, direct_sum
@@ -272,6 +273,20 @@ class TestQuotient:
         y = quot.project(xi.basis(1))
         assert quot.project(quot.lift(y)) == y
 
+    def test_projection_and_section_reject_foreign_elements(self):
+        fr = fresco_from_presentation(
+            FrescoPresentation([(F(3, 2), 1), (F(1, 2),)], P), P)
+        quot = quotient_module(
+            fr.module, semisimple_filtration(fr.module).steps[0])
+        line = module_e_lambda(F(1, 3), P)
+        with pytest.raises(HostMismatch):
+            quot.project(direct_sum(line, line).basis(1))
+        with pytest.raises(HostMismatch):
+            quot.lift(fr.module.basis(1))
+        twin = quotient_module(fr.module, quot.lattice)
+        with pytest.raises(HostMismatch):
+            quot.lift(twin.project(fr.module.basis(1)))
+
 
 class TestSubModuleStructure:
     def test_eigen_line(self):
@@ -496,8 +511,7 @@ def test_quotient_projection_matches_the_reference_loop(module):
         filt = semisimple_filtration(AbModule(module.a_matrix))
         host = filt.host
         out = [[(s.basis, s.pivots) for s in filt.steps]]
-        out.append([filt.level_module(j).a_matrix
-                    for j in range(1, filt.nilpotent_order + 1)])
+        out.append([level.a_matrix for level in filt.levels])
         elems = [host.basis(i) for i in range(host.rank)]
         elems += [e.act_a() for e in elems] + [e.act_b() for e in elems]
         for step in filt.steps:

@@ -118,6 +118,7 @@ class TestRun:
     @pytest.mark.parametrize("let, error", [
         ("let F = fresco [(3/2, 0)]", "NotAUnit"),
         ("let F = module [[b, 0]]", "NonSquare"),
+        ("let F = system [[1, 2]]", "NonSquare"),
     ])
     def test_show_after_a_failed_let_is_an_error_entry(self, let, error):
         report = run_session(parse_session(
@@ -164,19 +165,33 @@ class TestRun:
         assert not report.failed
         assert len(bodies) == 2 * alone
 
-    def test_worked_theme_saturates_each_module_once(self, monkeypatch):
+    @staticmethod
+    def _fresh_saturations(monkeypatch, keep):
+        """The saturation runs (each starts at step 0) of worked_theme.abm
+        with the lines *keep* accepts."""
         steps = []
         run_body = saturation._shifted_basis_images
         monkeypatch.setattr(saturation, "_shifted_basis_images",
                             lambda lat, m: steps.append(m) or run_body(lat, m))
         lines = (SESSIONS / "worked_theme.abm").read_text().splitlines(True)
-        text = "".join(line for line in lines
-                       if not line.startswith(("show embed", "show expansion")))
-        assert not run_session(parse_session(text)).failed
-        # one run (starting at step 0) each for F, the validation sub-module
-        # of S_1, F/S_1 and the level module S_1; the one-class primitive
-        # part is F, and the top level module is F/S_1
-        assert steps.count(0) == 4
+        assert not run_session(parse_session("".join(filter(keep, lines)))
+                               ).failed
+        return steps.count(0)
+
+    def test_worked_theme_saturates_each_module_once(self, monkeypatch):
+        # one run each for F, F/S_1 and the level module S_1, which the
+        # filtration validates and keeps; the one-class primitive part is
+        # F, and the top level module is F/S_1
+        assert self._fresh_saturations(
+            monkeypatch, lambda line: not line.startswith(
+                ("show embed", "show expansion"))) == 3
+
+    def test_embed_alone_saturates_each_module_once(self, monkeypatch):
+        # F, its saturation F# (whose semi-simple part starts the search)
+        # and the sub-module of the embedding's image
+        assert self._fresh_saturations(
+            monkeypatch, lambda line: not line.startswith("show")
+            or line.startswith("show embed")) == 3
 
 
 class TestCli:
@@ -208,6 +223,11 @@ class TestCli:
         proc = self._run([], stdin="let F = fresco []\n")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error [ParseError]")
+
+    def test_non_square_system_is_an_error_entry(self):
+        proc = self._run([], stdin="let S = system [[1, 2]]\n")
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert "error [NonSquare]" in proc.stdout
 
     def test_negative_saturation_cap_is_a_usage_error(self):
         session = "let F = fresco [(3/2, 1), (1/2, 1)]\nshow saturate F\n"
