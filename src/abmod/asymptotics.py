@@ -110,11 +110,14 @@ class Embedding:
             smat_vec(self.matrix, x.coords, self.target.prec))
 
     def check_equivariance(self) -> bool:
+        """Phi(a e_j) = a Phi(e_j) and Phi(b e_j) = b Phi(e_j) for every
+        basis vector e_j, with Phi(e_j) computed once per column."""
         for j in range(self.source.rank):
             e = self.source.basis(j)
-            if not self.apply(e.act_a()).eq_shared(self.apply(e).act_a()):
+            image = self.apply(e)
+            if not self.apply(e.act_a()).eq_shared(image.act_a()):
                 return False
-            if not self.apply(e.act_b()).eq_shared(self.apply(e).act_b()):
+            if not self.apply(e.act_b()).eq_shared(image.act_b()):
                 return False
         return True
 
@@ -185,6 +188,7 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None) -> Embedding:
     Every choice solves the equations through order p - 1, and the image
     of an injective equivariant map has the source's Bernstein polynomial,
     so a failed equivariance check or a mismatch raises ValidationFailed.
+    A rank-0 module has the empty embedding, at depth 0 and dim V 1.
     """
     cert = require_geometric(module)
     sat = saturate(module)
@@ -192,6 +196,9 @@ def embed_into_xi(module: AbModule, depth=None, dim_v=None) -> Embedding:
     k = src.rank
     classes = tuple(sorted({class_mod_z(-v) for v, _ in cert["roots"]}))
     prec = src.prec
+    if k == 0:     # the empty map into the rank-0 expansion module
+        return Embedding(source=module, target=build_xi_tensor((), 0, 1, prec),
+                         matrix=(), classes=(), depth=0, dim_v=1)
 
     if dim_v is not None:
         dim_candidates = [dim_v]

@@ -359,15 +359,17 @@ def _block_diag(mats, prec):
 def smat_vec(mat, vec, cap):
     """mat . vec for a series matrix and vector, at precision <= cap.
 
-    A known-zero entry of precision >= cap is skipped: its product has
-    precision >= cap, so subtracting it would leave acc as it is.  A zero
-    entry of lower precision still lowers the precision of its row.
+    A known-zero matrix or vector entry of precision >= cap is skipped:
+    its products have precision >= cap, so subtracting them would leave
+    acc as it is.  A zero entry of lower precision still lowers the
+    precision of the rows it meets.
     """
+    skip = [x.prec >= cap and not any(x.coeffs) for x in vec]
     out = []
     for row in mat:
         acc = TruncSeries.zero(cap)     # accumulates -(row . vec)
-        for e, x in zip(row, vec):
-            if e.prec >= cap and not any(e.coeffs):
+        for e, x, zero in zip(row, vec, skip):
+            if zero or (e.prec >= cap and not any(e.coeffs)):
                 continue
             acc = acc.sub_mul(e, x, cap=cap)
         out.append(-acc)

@@ -10,12 +10,16 @@ precision min(p1+v2, p2+v1) that the valuations allow, optionally capped,
 and ``x * y`` is ``mul_sharp`` capped at min(p1, p2).  ``shift`` also
 exploits valuations; the lattice and module layers depend on both.
 
-The kernels compute over the integers.  ``_product`` holds the one
-convolution loop: it scales each input by the lcm of its denominators and
-convolves the integer numerators.  ``mul_sharp``, polynomial products
-(:func:`convolve`) and the fused row operation :meth:`TruncSeries.sub_mul`,
-``x - c * y`` at the precision of ``x - c.mul_sharp(y)``, all use it;
-:meth:`TruncSeries.invert` runs its recurrence on integer numerators too.
+The kernels compute over the integers.  Each series is converted once:
+its integer form, the numerators of all its coefficients over their lcm
+d, is computed on first use and kept.  ``_product`` holds the one
+convolution loop over two such forms; a head of n < prec coefficients is
+a prefix of the numerators over the full d.  ``mul_sharp``, polynomial
+products (:func:`convolve`) and the fused row operation
+:meth:`TruncSeries.sub_mul`, ``x - c * y`` at the precision of
+``x - c.mul_sharp(y)``, all use it, and :meth:`TruncSeries.invert` runs
+its recurrence on the integer form too.  ``mul_sharp`` and ``sub_mul``
+hand their results the integer form they computed, reduced by the gcd.
 Each builds one ``Fraction`` per nonzero result coefficient, and since
 ``Fraction`` is canonical the rationals are the ones that exact rational
 arithmetic gives.
@@ -24,7 +28,7 @@ arithmetic gives.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NotAUnit, PrecisionExhausted
 
@@ -52,12 +56,22 @@ def rat_str(x: Fraction) -> str:
 
 
 def _numerators(coeffs, n: int):
-    """(integer numerators, common denominator) of the first n coefficients."""
+    """(integer numerators, common denominator) of the first n coefficients;
+    the denominator is their lcm."""
     head = coeffs[:n]
     d = lcm(*[c.denominator for c in head])
     if d == 1:
-        return [c.numerator for c in head], 1
-    return [c.numerator * (d // c.denominator) for c in head], d
+        return tuple(c.numerator for c in head), 1
+    return tuple(c.numerator * (d // c.denominator) for c in head), d
+
+
+def _reduced(nums, d: int):
+    """The integer form of the rationals nums[i] / d: divided by the gcd,
+    d becomes the lcm of their denominators."""
+    g = gcd(d, *nums)
+    if g == 1:
+        return tuple(nums), d
+    return tuple(c // g for c in nums), d // g
 
 
 def _over(nums, d: int) -> tuple:
@@ -67,13 +81,13 @@ def _over(nums, d: int) -> tuple:
 
 def _product(x, y, n: int):
     """(integer numerators, common denominator) of the first n coefficients
-    of the product of two coefficient sequences.  This is the only
-    convolution loop."""
-    a, da = _numerators(x, n)
-    b, db = _numerators(y, n)
+    of the product of two integer forms (numerators, denominator).  This is
+    the only convolution loop."""
+    a, da = x
+    b, db = y
     out = [0] * n
-    nzb = [(j, c) for j, c in enumerate(b) if c]
-    for i, ai in enumerate(a):
+    nzb = [(j, c) for j, c in enumerate(b[:n]) if c]
+    for i, ai in enumerate(a[:n]):
         if ai:
             lim = n - i
             for j, bj in nzb:
@@ -85,13 +99,13 @@ def _product(x, y, n: int):
 
 def convolve(x, y, n: int) -> list:
     """The first n coefficients of the product of two coefficient sequences."""
-    return list(_over(*_product(x, y, n)))
+    return list(_over(*_product(_numerators(x, n), _numerators(y, n), n)))
 
 
 class TruncSeries:
     """A power series in b known through order prec-1."""
 
-    __slots__ = ("coeffs", "prec")
+    __slots__ = ("coeffs", "prec", "_form")
 
     def __init__(self, coeffs, prec=None):
         coeffs = [rat(c) for c in coeffs]
@@ -105,14 +119,24 @@ class TruncSeries:
             coeffs = coeffs[:prec]
         self.coeffs = tuple(coeffs)
         self.prec = prec
+        self._form = None
 
     @classmethod
-    def _exact(cls, coeffs, prec):
-        """A series from exactly *prec* Fraction coefficients, unchecked."""
+    def _exact(cls, coeffs, prec, form=None):
+        """A series from exactly *prec* Fraction coefficients, unchecked;
+        *form* is their integer form, if the caller has it."""
         s = object.__new__(cls)
         s.coeffs = tuple(coeffs)
         s.prec = prec
+        s._form = form
         return s
+
+    def _integers(self):
+        """(numerators, d) of all prec coefficients, d their lcm; computed
+        once per series."""
+        if self._form is None:
+            self._form = _numerators(self.coeffs, self.prec)
+        return self._form
 
     # -- constructors ------------------------------------------------
 
@@ -215,8 +239,8 @@ class TruncSeries:
         so no information is invented.
         """
         p = self._sharp_prec(other, cap)
-        nums, d = _product(self.coeffs, other.coeffs, p)
-        return TruncSeries._exact(_over(nums, d), p)
+        form = _reduced(*_product(self._integers(), other._integers(), p))
+        return TruncSeries._exact(_over(*form), p, form)
 
     def _sharp_prec(self, other, cap):
         v1 = self.valuation_lower_bound()
@@ -230,12 +254,12 @@ class TruncSeries:
         precision as ``self - c.mul_sharp(y, cap=cap)``, with one
         normalisation per nonzero result coefficient."""
         p = min(self.prec, c._sharp_prec(y, cap))
-        prod, dp = _product(c.coeffs, y.coeffs, p)
-        x, dx = _numerators(self.coeffs, p)
+        prod, dp = _product(c._integers(), y._integers(), p)
+        x, dx = self._integers()
         d = lcm(dx, dp)
         sx, sp = d // dx, d // dp
-        return TruncSeries._exact(
-            _over([u * sx - w * sp for u, w in zip(x, prod)], d), p)
+        form = _reduced([u * sx - w * sp for u, w in zip(x, prod)], d)
+        return TruncSeries._exact(_over(*form), p, form)
 
     def shift(self, k: int, cap=None) -> "TruncSeries":
         """Multiply by b^k exactly; precision grows by k (optionally capped)."""
@@ -248,7 +272,10 @@ class TruncSeries:
         return TruncSeries(coeffs[:p], p)
 
     def truncate(self, p: int) -> "TruncSeries":
-        p = min(p, self.prec)
+        """The first p coefficients; *self* when p >= prec, since a series
+        never changes after it is built."""
+        if p >= self.prec:
+            return self
         return TruncSeries(self.coeffs[:p], p)
 
     def derivative(self) -> "TruncSeries":
@@ -268,7 +295,7 @@ class TruncSeries:
         # of 1/A is B_n / a0^(n+1), where B_0 = 1 and
         # B_n = -sum_{i=1..n} a_i a0^(i-1) B_(n-i).
         p = self.prec
-        a, d = _numerators(self.coeffs, p)
+        a, d = self._integers()
         a0 = a[0]
         w = [(i, a[i] * a0 ** (i - 1)) for i in range(1, p) if a[i]]
         num = [1]

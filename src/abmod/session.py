@@ -404,7 +404,7 @@ def _show_embed(binding):
     emb = embed_into_xi(binding.module)
     classes = [rat_str(a) for a in emb.classes]
     matrix = [[e.render() for e in row] for row in emb.matrix]
-    text = ["embedded into xi with classes " + ", ".join(classes)
+    text = ["embedded into xi with classes " + (", ".join(classes) or "none")
             + f"; depth {emb.depth}; dim V {emb.dim_v}",
             "matrix: [" + ", ".join("[" + ", ".join(row) + "]"
                                     for row in matrix) + "]"]

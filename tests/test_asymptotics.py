@@ -1,5 +1,6 @@
 """Differential systems, embeddings and log-power expansions."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -14,7 +15,7 @@ from abmod import asymptotics, decomposition
 from abmod.asymptotics import LogPowerFunction, realize_function
 from abmod.decomposition import class_mod_z
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
-from abmod.modules import build_xi_tensor, direct_sum
+from abmod.modules import AbModule, build_xi_tensor, direct_sum
 from abmod.operators import op_normalize
 from abmod.ratpoly import RationalPolynomial
 from abmod.saturation import require_geometric, saturate
@@ -113,6 +114,30 @@ class TestEmbedding:
         emb = embed_into_xi(m)
         assert emb.depth == 0 and emb.dim_v == 2
 
+    def test_rank_zero_module_has_the_empty_embedding(self):
+        emb = embed_into_xi(AbModule([], prec=P))
+        assert (emb.classes, emb.depth, emb.dim_v, emb.matrix) \
+            == ((), 0, 1, ())
+        assert emb.target.rank == 0 and emb.target.xi.legend == ()
+        assert emb.check_equivariance()
+
+    @pytest.mark.parametrize("module", [
+        fresco_from_presentation(FrescoPresentation(
+            [(F(3, 2), 1), (F(1, 2),)], P), P).module,
+        xi_module(F(1, 3), 2, P)], ids=["theme", "xi_1/3_depth_2"])
+    def test_perturbed_embedding_fails_its_check(self, module):
+        """Adding b^m to an entry in a row of log index >= 1 breaks the
+        a-action: a (b^m e_i) has the component alpha b^(m+1) on e_(i-1),
+        and Phi(a e_j) keeps row i-1 as it was."""
+        emb = embed_into_xi(module)
+        rows = [i for i, (_, log, _) in enumerate(emb.target.xi.legend)
+                if log >= 1]
+        assert rows and emb.check_equivariance()
+        for i in rows:
+            for j in range(module.rank):
+                for m in range(emb.matrix[i][j].prec - 1):
+                    assert not perturbed(emb, i, j, m).check_equivariance()
+
     def test_flat_embedding_fails_for_log_modules(self):
         with pytest.raises(NoEmbeddingFound):
             embed_into_xi(xi_module(F(1, 2), 1, P), depth=0)
@@ -205,6 +230,40 @@ class TestEmbedding:
         sub = sub_module_structure(lattice_reduce(cols, host=emb.target))
         assert bernstein_polynomial(sub.module, mode="characteristic") \
             == bernstein_polynomial(fr.module, mode="characteristic")
+
+
+def four_product_check(emb):
+    """The equivariance check that computes Phi(e_j) for each comparison."""
+    for j in range(emb.source.rank):
+        e = emb.source.basis(j)
+        if not emb.apply(e.act_a()).eq_shared(emb.apply(e).act_a()):
+            return False
+        if not emb.apply(e.act_b()).eq_shared(emb.apply(e).act_b()):
+            return False
+    return True
+
+
+def perturbed(emb, i, j, m):
+    """The embedding with 1 added to the b^m coefficient of entry (i, j)."""
+    rows = [list(row) for row in emb.matrix]
+    coeffs = list(rows[i][j].coeffs)
+    coeffs[m] += 1
+    rows[i][j] = TruncSeries(coeffs, rows[i][j].prec)
+    return dataclasses.replace(emb, matrix=tuple(map(tuple, rows)))
+
+
+@PROPS
+@given(geometric_fresco(max_prec=10), st.data())
+def test_equivariance_check_agrees_with_the_four_product_check(module, data):
+    """On the embedding of a random geometric fresco, and on a copy with
+    one coefficient perturbed, the check gives the four-product answer."""
+    emb = embed_into_xi(module)
+    assert emb.check_equivariance() and four_product_check(emb)
+    i = data.draw(st.integers(0, emb.target.rank - 1))
+    j = data.draw(st.integers(0, module.rank - 1))
+    m = data.draw(st.integers(0, emb.matrix[i][j].prec - 1))
+    bad = perturbed(emb, i, j, m)
+    assert bad.check_equivariance() == four_product_check(bad)
 
 
 @st.composite

@@ -9,6 +9,7 @@ denominators and integer numerators of the series kernel get large.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from abmod import TruncSeries
 from abmod.errors import NotAUnit
 from abmod.modules import smat_mul, smat_vec
 from abmod.ratpoly import pmul, pnorm
-from abmod.series import convolve
+from abmod.series import _numerators, convolve
 
 MAX_PREC = 12
 PROPS = settings(derandomize=True, database=None, deadline=None,
@@ -120,8 +121,8 @@ def test_smat_vec_matches_entrywise_sums(case):
 
 @st.composite
 def sparse_mat_and_vec(draw):
-    """Like mat_and_vec, with half the matrix entries known zeros whose
-    precision is drawn on both sides of the cap."""
+    """Like mat_and_vec, with half the matrix and vector entries known
+    zeros whose precision is drawn on both sides of the cap."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     cap = draw(st.integers(0, MAX_PREC))
 
@@ -130,7 +131,7 @@ def sparse_mat_and_vec(draw):
             return TruncSeries.zero(draw(st.integers(0, MAX_PREC)))
         return draw(planted())[0]
     mat = [[entry() for _ in range(cols)] for _ in range(rows)]
-    return mat, [draw(planted())[0] for _ in range(cols)], cap
+    return mat, [entry() for _ in range(cols)], cap
 
 
 def dense_smat_vec(mat, vec, cap):
@@ -147,8 +148,9 @@ def dense_smat_vec(mat, vec, cap):
 @PROPS
 @given(sparse_mat_and_vec())
 def test_smat_vec_skips_only_zeros_that_keep_the_precision(case):
-    """Skipping a known zero of precision >= cap changes nothing; one of
-    lower precision still lowers its row's precision."""
+    """Skipping a known zero of precision >= cap, in the matrix or in the
+    vector, changes nothing; one of lower precision still lowers the
+    precision of the rows it meets."""
     mat, vec, cap = case
     assert [as_pair(e) for e in smat_vec(mat, vec, cap)] \
         == [as_pair(e) for e in dense_smat_vec(mat, vec, cap)]
@@ -219,3 +221,32 @@ def test_invert_matches_the_recurrence(x):
     assert as_pair(inv) == (naive_inverse(s.coeffs), s.prec)
     assert as_pair(inv.mul_sharp(s)) == ([F(1)] + [F(0)] * (s.prec - 1),
                                          s.prec)
+
+
+def assert_integer_form(s):
+    """The integer form of s holds its coefficients over their lcm, the
+    same form that converting the coefficients afresh gives."""
+    nums, d = s._integers()
+    assert len(nums) == s.prec
+    assert all(F(n, d) == c for n, c in zip(nums, s.coeffs))
+    assert gcd(d, *nums) == 1
+    assert (nums, d) == _numerators(s.coeffs, s.prec)
+
+
+@PROPS
+@given(planted(), planted(), planted(), st.integers(0, 2 * MAX_PREC))
+def test_every_series_holds_its_integer_form(x, c, y, cap):
+    """Kernel results carry the form they computed; truncations and other
+    series fill theirs on first use."""
+    (sx, _), (sc, _), (sy, _) = x, c, y
+    fresh = TruncSeries(sx.coeffs, sx.prec)
+    assert_integer_form(fresh)
+    results = [sc.mul_sharp(sy, cap=cap), sc.mul_sharp(sy),
+               sx.sub_mul(sc, sy, cap=cap), sx.sub_mul(sc, sy)]
+    if sx.is_unit():
+        results.append(sx.invert())
+    # sx holds its form by now, so a truncation must not reuse it
+    results += [sx.truncate(p) for p in range(sx.prec)]
+    for s in [sx, sc, sy] + results:
+        assert_integer_form(s)
+    assert sx.truncate(sx.prec) is sx and sx.truncate(cap + sx.prec) is sx

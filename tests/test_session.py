@@ -105,6 +105,18 @@ class TestRun:
         assert [lv["roots"] for lv in levels] == [
             [{"value": "-1/2", "mult": 1}]] * 2
 
+    def test_rank_zero_module_embeds(self):
+        report = run_session(parse_session(
+            "let M = module []\nshow embed M\nshow expansion M\n"))
+        assert not report.failed
+        embed, expansion = report.entries[1:]
+        assert embed["result"] == {"classes": [], "depth": 0, "dim_v": 1,
+                                   "matrix": []}
+        assert embed["text"] == [
+            "embedded into xi with classes none; depth 0; dim V 1",
+            "matrix: []"]
+        assert expansion["result"] == {"expansions": []}
+
     def test_empty_session(self):
         report = run_session(parse_session(""))
         assert report.entries == [] and not report.failed
