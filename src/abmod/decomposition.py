@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotAStable, NotGeometric, ValidationFailed
 from .lattices import (Lattice, Quotient, full_lattice, is_normal,
@@ -36,8 +37,8 @@ from .lattices import (Lattice, Quotient, full_lattice, is_normal,
 from .linsolve import ParamSolver
 from .modules import (AbModule, derived, module_e_lambda, smat_coeff,
                       smat_from_const, smat_mul)
-from .qlinalg import (identity, inverse as qinverse, mat_add, mat_mul,
-                      mat_sub, mat_scale, nullspace, solve as qsolve)
+from .qlinalg import (identity, inverse as qinverse, mat_mul, mat_sub,
+                      mat_scale, nullspace, solve as qsolve)
 from .ratpoly import RationalPolynomial
 from .saturation import bernstein_polynomial, require_geometric, saturate
 from .series import TruncSeries, rat, rat_str
@@ -569,6 +570,15 @@ def _primitive_split(module: AbModule, cls_set, mode) -> PrimitiveSplit:
     return _checked_split(module, cls_set, e_not, mode, diagnostics)
 
 
+def _add_product(acc, a, b):
+    """acc += a . b, in place, for integer matrices given as lists of rows."""
+    for acc_row, a_row in zip(acc, a):
+        for a_t, b_row in zip(a_row, b):
+            if a_t:
+                for j, b_tj in enumerate(b_row):
+                    acc_row[j] += a_t * b_tj
+
+
 def _off_class_columns(module: AbModule, cmat, k_in):
     """T_out = C (X; I), X solving the one-sided gauge equation of
     ``primitive_split`` for the a-matrix A of the simple-pole *module* in
@@ -581,39 +591,70 @@ def _off_class_columns(module: AbModule, cmat, k_in):
         B_{oo,n} = A_{n,oo} + sum_{m=2}^{n-1} A_{m,oi} X_{n-m},
 
     and A_{p,io}, beyond the precision p, is dropped.
+
+    The recursion runs on integer numerators.  Every coefficient block of
+    A is kept over one common denominator d_a, each X_l over one running
+    denominator d_x, and each B_oo,l over d_a d_x, so each entry of K_n is
+    one integer sum over d_a d_x^2 and becomes one ``Fraction`` for
+    ``_sylvester_solve``.  When a new X_{n-1} has a denominator d that does
+    not divide d_x, d_x and every stored X and B_oo numerator are
+    multiplied by lcm(d_x, d) / d_x.  Rationals are canonical, so the
+    values are those of the same recursion over ``Fraction``.
     """
     p = module.prec
     k_out = module.rank - k_in
     a_t = smat_mul(smat_mul(smat_from_const(qinverse(cmat), p),
                             module.a_matrix, p),
                    smat_from_const(cmat, p), p)
+    coeffs = [smat_coeff(a_t, m) for m in range(p)]
+    d_a = lcm(*(c.denominator for cm in coeffs for row in cm for c in row))
     a_ii, a_io, a_oi, a_oo = [], [], [], []
-    for m in range(p):
-        c = smat_coeff(a_t, m)
-        a_ii.append(tuple(r[:k_in] for r in c[:k_in]))
-        a_io.append(tuple(r[k_in:] for r in c[:k_in]))
-        a_oi.append(tuple(r[:k_in] for r in c[k_in:]))
-        a_oo.append(tuple(r[k_in:] for r in c[k_in:]))
+    for cm in coeffs:
+        num = [[c.numerator * (d_a // c.denominator) for c in row]
+               for row in cm]
+        a_ii.append([r[:k_in] for r in num[:k_in]])
+        a_io.append([r[k_in:] for r in num[:k_in]])
+        a_oi.append([r[:k_in] for r in num[k_in:]])
+        a_oo.append([r[k_in:] for r in num[k_in:]])
     if any(map(any, a_io[1] + a_oi[1])):
         raise ValidationFailed("residue did not block-diagonalize")
+    r_ii = tuple(r[:k_in] for r in coeffs[1][:k_in])
+    r_oo = tuple(r[k_in:] for r in coeffs[1][k_in:])
 
-    zero = ((Fraction(0),) * k_out,) * k_in
-    xs = [zero]
-    b_oo = [None, a_oo[1]]
+    d_x = 1
+    xs = [[[0] * k_out for _ in range(k_in)]]   # X_l, over d_x
+    b_oo = [None, None]                         # B_oo,l (l >= 2), over d_a d_x
+    x_coeffs = [((Fraction(0),) * k_out,) * k_in]  # X_l as rationals
     for n in range(2, p + 1):
-        k_n = mat_scale(a_io[n], -1) if n < p else zero
-        for m in range(2, n):
-            k_n = mat_sub(k_n, mat_mul(a_ii[m], xs[n - m]))
-        for l in range(1, n - 1):
-            k_n = mat_add(k_n, mat_mul(xs[l], b_oo[n - l]))
         if n < p:
-            b_n = a_oo[n]
+            acc = [[v * d_x for v in row] for row in a_oo[n]]
             for m in range(2, n):
-                b_n = mat_add(b_n, mat_mul(a_oi[m], xs[n - m]))
-            b_oo.append(b_n)
-        xs.append(_sylvester_solve(a_ii[1], a_oo[1], Fraction(n - 1), k_n))
+                _add_product(acc, a_oi[m], xs[n - m])
+            b_oo.append(acc)
+        inner = [[0] * k_out for _ in range(k_in)]
+        for m in range(2, n):
+            _add_product(inner, a_ii[m], xs[n - m])
+        outer = ([[-v * d_x * d_x for v in row] for row in a_io[n]]
+                 if n < p else [[0] * k_out for _ in range(k_in)])
+        for l in range(1, n - 1):
+            _add_product(outer, xs[l], b_oo[n - l])
+        den = d_a * d_x * d_x
+        k_n = tuple(tuple(Fraction(o - d_x * v, den)
+                          for o, v in zip(orow, irow))
+                    for orow, irow in zip(outer, inner))
+        x = _sylvester_solve(r_ii, r_oo, Fraction(n - 1), k_n)
+        d = lcm(*(v.denominator for row in x for v in row))
+        if d_x % d:
+            f = lcm(d_x, d) // d_x
+            d_x *= f
+            for mat in xs[1:] + b_oo[2:]:
+                for row in mat:
+                    row[:] = [v * f for v in row]
+        xs.append([[v.numerator * (d_x // v.denominator) for v in row]
+                   for row in x])
+        x_coeffs.append(x)
 
-    x_mat = tuple(tuple(TruncSeries([x[i][j] for x in xs], p)
+    x_mat = tuple(tuple(TruncSeries([x[i][j] for x in x_coeffs], p)
                         for j in range(k_out)) for i in range(k_in))
     return smat_mul(smat_from_const(cmat, p),
                     x_mat + smat_from_const(identity(k_out), p), p)

@@ -832,16 +832,17 @@ def reference_off_class_columns(module, cmat, k_in):
     return tuple(row[k_in:] for row in t_mat)
 
 
-@settings(PROPS, max_examples=40)
-@given(geometric_fresco(max_prec=20))
-def test_off_class_columns_match_the_two_sided_reference(module):
-    """For every class of the Bernstein roots, the one-sided recursion
-    gives exactly the off-class columns of the two-sided one."""
+def recorded_off_class_columns(module, check=None):
+    """The (args, T_out) of every ``_off_class_columns`` call made by the
+    primitive splits of *module*, one per class of its Bernstein roots;
+    ``check(args, T_out)`` runs on each call before the split goes on."""
     real = decomposition._off_class_columns
     calls = []
 
     def recording(*args):
         out = real(*args)
+        if check is not None:
+            check(args, out)
         calls.append((args, out))
         return out
 
@@ -849,10 +850,57 @@ def test_off_class_columns_match_the_two_sided_reference(module):
     with mock.patch.object(decomposition, "_off_class_columns", recording):
         for alpha in sorted({class_mod_z(-v) for v, _ in roots}):
             primitive_split(module, {alpha}, mode="characteristic")
-    for args, t_out in calls:
-        ref = reference_off_class_columns(*args)
-        assert [[(e.coeffs, e.prec) for e in row] for row in t_out] \
-            == [[(e.coeffs, e.prec) for e in row] for row in ref]
+    return calls
+
+
+def matches_the_reference(args, t_out):
+    ref = reference_off_class_columns(*args)
+    assert [[(e.coeffs, e.prec) for e in row] for row in t_out] \
+        == [[(e.coeffs, e.prec) for e in row] for row in ref]
+
+
+@settings(PROPS, max_examples=40)
+@given(geometric_fresco(max_prec=20))
+def test_off_class_columns_match_the_two_sided_reference(module):
+    """For every class of the Bernstein roots, the one-sided recursion
+    gives exactly the off-class columns of the two-sided one."""
+    for _ in recorded_off_class_columns(module, matches_the_reference):
+        event("non-trivial split")
+
+
+RANK_3_TWO_CLASSES = [(F(10, 3), [1]), (F(5, 2), [1, 2]), (F(4, 3), [1])]
+
+
+@pytest.mark.parametrize("factors, prec", [
+    (RANK_3_TWO_CLASSES, 16),
+    ([(F(3, 2), [1]), (F(1, 3), [1])], 40),
+    (RANK_3_TWO_CLASSES, 64),
+])
+def test_off_class_columns_match_the_reference_at_long_precision(factors,
+                                                                 prec):
+    """Every class gives exactly the two-sided columns at long precision.
+    The rank-2 fresco is the fixed deep_precision benchmark entry, whose X
+    is integral.  The rank-3 fresco has a class of multiplicity 2, so X has
+    2 x 1 and 1 x 2 blocks, and its running denominator grows 52 times at
+    precision 64 (over both classes).  It also runs at precision 16: a
+    recursion whose denominators double in length every order fails there
+    at once, while at precision 64 it would not finish."""
+    module = fresco_from_presentation(FrescoPresentation(
+        [(lam, TruncSeries(unit, prec)) for lam, unit in factors], prec),
+        prec).module
+    assert recorded_off_class_columns(module, matches_the_reference)
+
+
+@settings(PROPS, max_examples=60)
+@given(geometric_fresco(max_prec=32))
+def test_off_class_columns_span_an_a_stable_submodule(module):
+    """The columns of T_out span an a-stable sub-module of the
+    saturation: a applied to each column is in the span of the columns."""
+    for args, t_out in recorded_off_class_columns(module):
+        sat = args[0]
+        cols = [sat.element(col) for col in zip(*t_out)]
+        span = lattice_reduce(cols, host=sat)
+        assert all(span.member(col.act_a()) for col in cols)
         event("non-trivial split")
 
 
