@@ -27,25 +27,38 @@ Two indexes keep the work to the entries that can change:
   holds the free parameter q, so a new pivot updates exactly the
   substitutions that hold it.
 
-``form_add`` and ``form_scale`` are the eliminator's row operations:
-``reduce`` adds a multiple of each substitution it applies, and
-``add_equation`` scales the reduced equation into the pivot's substitution
-and adds multiples of it to the stored ones that hold the pivot.
+Elimination runs on integers.  The substitution of an eliminated
+parameter p is kept as integer numerators ``_subs[p]`` (a dict over free
+parameters) over one positive denominator ``_dens[p]``, in lowest terms:
+gcd(den, numerators) = 1, so the stored form is canonical and every
+rational it stands for is the one exact rational elimination gives.
+``_integer_form`` reduces a form to integer numerators over the lcm of
+its terms' denominators; ``reduce`` builds one ``Fraction`` per entry
+from it, and ``add_equation`` and ``live_params`` use it as it is.
+
+``form_add`` and ``form_scale`` are the eliminator's row operations, on
+integer forms: ``_integer_form`` adds a multiple of each substitution it
+applies, and ``add_equation`` scales each stored substitution that holds
+the pivot by the pivot's denominator and adds a multiple of the pivot's
+substitution to it.  They work unchanged on ``Fraction`` forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 _ZERO = Fraction(0)
 
 
-def form_add(acc: dict, form: dict, c: Fraction | None = None) -> dict:
-    """Add *form*, or ``c * form``, into *acc* in place and return *acc*."""
+def form_add(acc: dict, form: dict, c: int | Fraction | None = None) -> dict:
+    """Add *form*, or ``c * form``, into *acc* in place and return *acc*.
+
+    Integer forms and coefficients give an integer form."""
     if c is not None and not c:
         return acc
     for p, v in form.items():
-        v = acc.get(p, _ZERO) + (v if c is None else c * v)
+        v = acc.get(p, 0) + (v if c is None else c * v)
         if v:
             acc[p] = v
         else:
@@ -53,15 +66,25 @@ def form_add(acc: dict, form: dict, c: Fraction | None = None) -> dict:
     return acc
 
 
-def form_scale(a: dict, c: Fraction) -> dict:
+def form_scale(a: dict, c: int | Fraction) -> dict:
     if not c:
         return {}
     return {p: v * c for p, v in a.items()}
 
 
+def _lowest(form: dict, den: int):
+    """(numerators, denominator) of the integer form *form* over *den* > 0,
+    in lowest terms; an empty form gets denominator 1."""
+    g = gcd(den, *form.values())
+    if g == 1:
+        return form, den
+    return {q: v // g for q, v in form.items()}, den // g
+
+
 class ParamSolver:
     def __init__(self):
-        self._subs: dict[int, dict[int, Fraction]] = {}
+        self._subs: dict[int, dict[int, int]] = {}
+        self._dens: dict[int, int] = {}
         self._holders: dict[int, set[int]] = {}
         self._tags: dict[int, int] = {}
         self._count = 0
@@ -76,55 +99,79 @@ class ParamSolver:
     def tag(self, p: int) -> int:
         return self._tags[p]
 
+    def _integer_form(self, form: dict):
+        """(numerators, d): the reduced form of *form* (see :meth:`reduce`)
+        is ``{q: numerators[q] / d}``.  d is the running lcm of the terms'
+        denominators: c.denominator for a free parameter, and
+        c.denominator times the substitution's denominator for an
+        eliminated one.  Zero numerators are dropped; d is not reduced
+        against the numerators."""
+        subs, dens = self._subs, self._dens
+        out = {}
+        d = 1
+        for p, c in form.items():
+            if not c:
+                continue
+            sub = subs.get(p)
+            if sub is None:
+                cd = c.denominator
+            elif sub:     # most parameters are eliminated to zero
+                cd = c.denominator * dens[p]
+            else:
+                continue
+            if d % cd:
+                f = cd // gcd(d, cd)
+                d *= f
+                out = form_scale(out, f)
+            s = c.numerator * (d // cd)
+            if sub is None:
+                v = out.get(p, 0) + s
+                if v:
+                    out[p] = v
+                else:
+                    del out[p]
+            else:
+                form_add(out, sub, s)
+        return out, d
+
     def reduce(self, form: dict) -> dict:
         """The form with every eliminated parameter substituted away.
 
         The result depends only on free parameters, so reducing it again
         returns an equal form until the next equation is added.
         """
-        out = {}
-        subs = self._subs
-        for p, c in form.items():
-            if not c:
-                continue
-            sub = subs.get(p)
-            if sub is None:
-                v = out.get(p)
-                if v is None:
-                    out[p] = c
-                else:
-                    v += c
-                    if v:
-                        out[p] = v
-                    else:
-                        del out[p]
-            elif sub:     # most parameters are eliminated to zero
-                form_add(out, sub, c)
-        return out
+        nums, d = self._integer_form(form)
+        return {q: Fraction(v, d) for q, v in nums.items()}
 
     def add_equation(self, form: dict):
         """Impose form == 0."""
-        form = self.reduce(form)
-        if not form:
+        sub, _ = self._integer_form(form)
+        if not sub:
             return
-        pivot = max(form)
-        sub = form_scale(form, -1 / form.pop(pivot))
-        self._subs[pivot] = sub
-        holders = self._holders
+        pivot = max(sub)
+        den = sub.pop(pivot)
+        if den > 0:
+            sub = form_scale(sub, -1)
+        sub, den = _lowest(sub, abs(den))
+        subs, dens, holders = self._subs, self._dens, self._holders
+        subs[pivot], dens[pivot] = sub, den
         if sub:
             for q in sub:
                 holders.setdefault(q, set()).add(pivot)
         else:
             self.zero.add(pivot)
-        # keep every stored substitution independent of the pivot
+        # keep every stored substitution independent of the pivot:
+        # g / d_h with g[pivot] = c becomes (den * g + c * sub) / (d_h * den)
         for h in holders.pop(pivot, ()):
-            g = self._subs[h]
-            form_add(g, sub, g.pop(pivot))
+            g = subs[h]
+            c = g.pop(pivot)
+            g = form_add(form_scale(g, den), sub, c)
             for q in sub:
                 if q in g:
                     holders[q].add(h)
                 else:
                     holders[q].discard(h)
+            subs[h], dens[h] = _lowest(g, dens[h] * den)
             if not g:
                 self.zero.add(h)
 
@@ -132,7 +179,7 @@ class ParamSolver:
         """Sorted free parameters that the reduced forms depend on."""
         seen = set()
         for f in forms:
-            seen.update(self.reduce(f).keys())
+            seen.update(self._integer_form(f)[0])
         return sorted(seen)
 
     def evaluate(self, form: dict, assignment: dict) -> Fraction:

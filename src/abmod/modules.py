@@ -360,19 +360,20 @@ def smat_vec(mat, vec, cap):
     """mat . vec for a series matrix and vector, at precision <= cap.
 
     A known-zero matrix or vector entry of precision >= cap is skipped:
-    its products have precision >= cap, so subtracting them would leave
-    acc as it is.  A zero entry of lower precision still lowers the
+    its products have precision >= cap, so adding them would leave the
+    row as it is.  A zero entry of lower precision still lowers the
     precision of the rows it meets.
+
+    Each row is one fused ``TruncSeries.dot`` of its terms: one integer
+    accumulation at the least of cap and every term's ``mul_sharp``
+    precision.
     """
     skip = [x.prec >= cap and not any(x.coeffs) for x in vec]
     out = []
     for row in mat:
-        acc = TruncSeries.zero(cap)     # accumulates -(row . vec)
-        for e, x, zero in zip(row, vec, skip):
-            if zero or (e.prec >= cap and not any(e.coeffs)):
-                continue
-            acc = acc.sub_mul(e, x, cap=cap)
-        out.append(-acc)
+        out.append(TruncSeries.dot(
+            [(e, x) for e, x, zero in zip(row, vec, skip)
+             if not (zero or (e.prec >= cap and not any(e.coeffs)))], cap))
     return tuple(out)
 
 

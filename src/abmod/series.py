@@ -15,11 +15,13 @@ its integer form, the numerators of all its coefficients over their lcm
 d, is computed on first use and kept.  ``_product`` holds the one
 convolution loop over two such forms; a head of n < prec coefficients is
 a prefix of the numerators over the full d.  ``mul_sharp``, polynomial
-products (:func:`convolve`) and the fused row operation
+products (:func:`convolve`), the fused row operation
 :meth:`TruncSeries.sub_mul`, ``x - c * y`` at the precision of
-``x - c.mul_sharp(y)``, all use it, and :meth:`TruncSeries.invert` runs
-its recurrence on the integer form too.  ``mul_sharp`` and ``sub_mul``
-hand their results the integer form they computed, reduced by the gcd.
+``x - c.mul_sharp(y)``, and the fused sum of products
+:meth:`TruncSeries.dot` all use it, and :meth:`TruncSeries.invert` runs
+its recurrence on the integer form too.  ``mul_sharp``, ``sub_mul`` and
+``dot`` hand their results the integer form they computed, reduced by
+the gcd.
 Each builds one ``Fraction`` per nonzero result coefficient, and since
 ``Fraction`` is canonical the rationals are the ones that exact rational
 arithmetic gives.
@@ -260,6 +262,26 @@ class TruncSeries:
         sx, sp = d // dx, d // dp
         form = _reduced([u * sx - w * sp for u, w in zip(x, prod)], d)
         return TruncSeries._exact(_over(*form), p, form)
+
+    @classmethod
+    def dot(cls, pairs, cap) -> "TruncSeries":
+        """The sum of c * y over a list of (c, y) pairs, fused: the same
+        coefficients and precision as negating ``zero(cap)`` after
+        ``sub_mul(c, y, cap=cap)`` for every pair, that is, precision the
+        least of cap and every ``c.mul_sharp(y)`` precision.  The products'
+        numerators are summed over the lcm of their denominators and
+        normalised once."""
+        p = min([cap] + [c._sharp_prec(y, cap) for c, y in pairs])
+        prods = [_product(c._integers(), y._integers(), p) for c, y in pairs]
+        d = lcm(*[dp for _, dp in prods])
+        acc = [0] * p
+        for nums, dp in prods:
+            s = d // dp
+            for i, v in enumerate(nums):
+                if v:
+                    acc[i] += v * s
+        form = _reduced(acc, d)
+        return cls._exact(_over(*form), p, form)
 
     def shift(self, k: int, cap=None) -> "TruncSeries":
         """Multiply by b^k exactly; precision grows by k (optionally capped)."""

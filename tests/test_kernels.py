@@ -242,7 +242,8 @@ def test_every_series_holds_its_integer_form(x, c, y, cap):
     fresh = TruncSeries(sx.coeffs, sx.prec)
     assert_integer_form(fresh)
     results = [sc.mul_sharp(sy, cap=cap), sc.mul_sharp(sy),
-               sx.sub_mul(sc, sy, cap=cap), sx.sub_mul(sc, sy)]
+               sx.sub_mul(sc, sy, cap=cap), sx.sub_mul(sc, sy),
+               *smat_vec([[sc, sx]], [sy, sc], cap)]
     if sx.is_unit():
         results.append(sx.invert())
     # sx holds its form by now, so a truncation must not reuse it
