@@ -266,11 +266,10 @@ class TruncSeries:
     @classmethod
     def dot(cls, pairs, cap) -> "TruncSeries":
         """The sum of c * y over a list of (c, y) pairs, fused: the same
-        coefficients and precision as negating ``zero(cap)`` after
-        ``sub_mul(c, y, cap=cap)`` for every pair, that is, precision the
-        least of cap and every ``c.mul_sharp(y)`` precision.  The products'
-        numerators are summed over the lcm of their denominators and
-        normalised once."""
+        coefficients and precision as ``-zero(cap).sub_mul(c, y, cap=cap)``
+        chained over every pair, the precision being the least of cap and
+        every ``c.mul_sharp(y)`` precision.  The products' numerators are
+        summed over the lcm of their denominators and normalised once."""
         p = min([cap] + [c._sharp_prec(y, cap) for c, y in pairs])
         prods = [_product(c._integers(), y._integers(), p) for c, y in pairs]
         d = lcm(*[dp for _, dp in prods])
