@@ -317,9 +317,9 @@ def semisimple_part(module: AbModule):
     roots shifted by 0..prec // 2.  The solves stop once the answer is
     decided:
 
-    - a rank-1 module is isomorphic to some E_lambda, so it is its own
-      part, with no solve (``require_geometric`` reads the residue, so the
-      precision is at least 2 here);
+    - a module of rank <= 1 is its own part, with no solve: at rank 1 it
+      is isomorphic to some E_lambda (``require_geometric`` reads the
+      residue, so the precision is at least 2 there);
     - otherwise the candidates are visited by least shift, every unshifted
       root first, and once the eigen-span has full rank the normal hull is
       the whole module, whatever the remaining candidates add.  The span is
@@ -330,10 +330,8 @@ def semisimple_part(module: AbModule):
     eigen-elements.  The hull is validated by ``semisimple_filtration``.
     """
     diagnostics = []
-    if module.rank == 0:
-        return full_lattice(module), diagnostics
     roots = [v for v, _ in require_geometric(module)["roots"]]
-    if module.rank == 1:
+    if module.rank <= 1:
         return full_lattice(module), diagnostics
     lams0 = sorted({-r for r in roots}, reverse=True)
     elems, ranks = [], {}
@@ -523,9 +521,6 @@ def primitive_split(module: AbModule, classes, mode="minimal") -> PrimitiveSplit
 @derived
 def _primitive_split(module: AbModule, cls_set, mode) -> PrimitiveSplit:
     diagnostics = []
-    if module.rank == 0:
-        return PrimitiveSplit(module, cls_set, full_lattice(module), None,
-                              diagnostics)
     cert = require_geometric(module)
     sat = saturate(module)
     res = sat.module.residue()

@@ -9,7 +9,9 @@ so the whole computation happens in E.  The chain has stabilized exactly
 when (a - m b) maps the basis of M_m into b M_m, i.e. when every basis
 image has pivot coordinates of valuation >= 1; the coordinate solutions
 are then the a-matrix of the saturated module in the rescaled basis, and
-they have a simple pole by construction.
+they have a simple pole by construction.  At m = 0 that test is the
+simple-pole condition itself, so a simple-pole module (every module of
+rank 0 included) is returned as its own saturation, without the chain.
 """
 
 from __future__ import annotations
@@ -64,8 +66,14 @@ def saturate(module: AbModule, max_iter=None) -> SaturationResult:
     known = module.memo.get("saturate")
     if known is not None and (max_iter is None or known.steps <= max_iter):
         return known
-    if module.rank == 0:
-        return SaturationResult(module, (), 0, module)
+    if all(e.valuation_lower_bound() >= 1 for row in module.a_matrix
+           for e in row):
+        # the chain would stop at m = 0 with the a-matrix columns as the
+        # coordinates and the identity as the inclusion: E# is E itself
+        module.memo["saturate"] = SaturationResult(
+            module, tuple(e.coords for e in module.basis_elements()), 0,
+            module)
+        return module.memo["saturate"]
     if max_iter is not None:
         cap, cap_why = max_iter, "configured cap"
     else:
@@ -121,8 +129,6 @@ def saturate(module: AbModule, max_iter=None) -> SaturationResult:
 @derived
 def bernstein_polynomial(module: AbModule, mode="minimal") -> RationalPolynomial:
     """Minimal (default) or characteristic polynomial of -b^(-1)a on E#/bE#."""
-    if module.rank == 0:
-        return RationalPolynomial.one()
     res = saturate(module).module.residue()
     neg = tuple(tuple(-c for c in row) for row in res)
     return RationalPolynomial.from_matrix(neg, mode=mode)

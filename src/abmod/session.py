@@ -72,7 +72,7 @@ def _render_payload(cmd: LetCommand) -> str:
     if cmd.kind == "fresco":
         parts = []
         for lam, unit in cmd.payload:
-            parts.append(f"({rat_str(lam)}, {_poly_str(unit, 'b')})")
+            parts.append(f"({rat_str(lam)}, {TruncSeries(unit).render('b')})")
         return "[" + ", ".join(parts) + "]"
     if cmd.kind == "xi":
         alpha, depth, dim = cmd.payload
@@ -81,27 +81,9 @@ def _render_payload(cmd: LetCommand) -> str:
     var = "b" if cmd.kind == "module" else "z"
     rows = []
     for row in cmd.payload:
-        rows.append("[" + ", ".join(_poly_str(p, var) for p in row) + "]")
+        rows.append("[" + ", ".join(TruncSeries(p).render(var) for p in row)
+                    + "]")
     return "[" + ", ".join(rows) + "]"
-
-
-def _poly_str(coeffs, var) -> str:
-    parts = []
-    for i, c in enumerate(coeffs):
-        if not c and len(coeffs) > 1:
-            continue
-        if i == 0:
-            parts.append(rat_str(c))
-        else:
-            pw = var if i == 1 else f"{var}^{i}"
-            if c == 1:
-                parts.append(pw)
-            elif c == -1:
-                parts.append(f"-{pw}")
-            else:
-                parts.append(f"{rat_str(c)}*{pw}")
-    out = " + ".join(parts) if parts else "0"
-    return out.replace("+ -", "- ")
 
 
 # -- parsing --------------------------------------------------------------

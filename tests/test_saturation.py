@@ -2,15 +2,23 @@
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from abmod import (HostMismatch, NotRegular, TruncSeries,
-                   bernstein_polynomial, build_xi_tensor, is_geometric, module_e_lambda,
-                   module_from_matrix, saturate, xi_module)
+from abmod import (AbmodError, HostMismatch, NotRegular, RationalPolynomial,
+                   TruncSeries, bernstein_polynomial, build_xi_tensor,
+                   embed_into_xi, higher_bernstein, is_geometric,
+                   module_e_lambda, module_from_matrix, primitive_split,
+                   saturate, semisimple_filtration, semisimple_part,
+                   xi_module)
+from abmod import saturation
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
-from abmod.lattices import _reduce_vectors
-from abmod.modules import module_from_left_form
+from abmod.lattices import _reduce_vectors, full_lattice, quotient_module
+from abmod.modules import AbModule, module_from_left_form
+
+from strategies import geometric_fresco
 
 P = 16
 
@@ -111,6 +119,99 @@ class TestMemo:
             saturate(fr.module, max_iter=-1)
 
 
+def reference_first_step(module):
+    """The a-matrix and inclusion the saturation chain computes at m = 0,
+    as coefficient and precision tables: the coordinates of the a-images
+    of the identity basis, and of the basis itself, in the full lattice."""
+    lat = full_lattice(module)
+    images = [lat.member_coords(g.act_a()) for g in lat.basis_elements()]
+    incl = [lat.member_coords(e) for e in module.basis_elements()]
+    return as_table(zip(*images)), as_table(zip(*incl))
+
+
+def as_table(rows):
+    return [[(e.coeffs, e.prec) for e in row] for row in rows]
+
+
+def simple_pole_modules(sat_module, alpha, depth):
+    """E#, an expansion module, an E_lambda and the quotients of E# by its
+    semi-simple part and by each class's off-class part, where these are
+    proper and computable."""
+    out = [sat_module, xi_module(alpha, depth, sat_module.prec),
+           module_e_lambda(alpha + 1, sat_module.prec)]
+    try:
+        part, _ = semisimple_part(sat_module)
+        if 0 < part.rank < sat_module.rank:
+            out.append(quotient_module(sat_module, part).module)
+        for root, _ in bernstein_polynomial(sat_module).roots:
+            split = primitive_split(sat_module, {-root})
+            if split.quotient is not None:
+                out.append(split.part_module)
+    except AbmodError as exc:
+        event(f"quotients stopped by {type(exc).__name__}")
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(geometric_fresco(min_prec=2), st.sampled_from([F(1, 2), F(1, 3), F(1)]),
+       st.integers(0, 2))
+def test_a_simple_pole_module_is_its_own_saturation(module, alpha, depth):
+    """saturate(E#) is E#, with 0 steps and the identity inclusion; on a
+    simple-pole module the result equals the chain's m = 0 step, and the
+    chain's step function never runs."""
+    try:
+        sat = saturate(module)
+    except AbmodError as exc:
+        event(type(exc).__name__)
+        return
+    with mock.patch.object(saturation, "_shifted_basis_images",
+                           side_effect=AssertionError("chain ran")):
+        mods = simple_pole_modules(sat.module, alpha, depth)
+        again = saturate(sat.module)
+        assert again.module is sat.module and again.steps == 0
+        assert again is saturate(sat.module)
+        for m in mods:
+            res = saturate(m)
+            assert res.module is m and res.steps == 0 and res.source is m
+            assert (as_table(m.a_matrix), as_table(res.inclusion)) \
+                == reference_first_step(m)
+    event(f"{len(mods)} simple-pole modules")
+
+
+class TestSimplePole:
+    def test_rank_zero_gives_the_trivial_answers(self):
+        m = AbModule([], prec=P)
+        sat = saturate(m)
+        assert (sat.module, sat.inclusion, sat.steps) == (m, (), 0)
+        one = RationalPolynomial.one()
+        for mode in ("minimal", "characteristic"):
+            poly = bernstein_polynomial(m, mode=mode)
+            assert (poly.coeffs, poly.roots, poly.unsplit) \
+                == (one.coeffs, one.roots, one.unsplit)
+        part, diags = semisimple_part(m)
+        assert (part.rank, part.basis, diags) == (0, (), [])
+        filt = semisimple_filtration(m)
+        assert (filt.steps, filt.levels, filt.diagnostics) == ((), (), [])
+        split = primitive_split(m, {F(1, 2)})
+        assert (split.not_part.rank, split.quotient, split.diagnostics) \
+            == (0, None, [])
+        assert split.part_module is m
+        hb = higher_bernstein(m)
+        assert (hb.classes, hb.assembled, hb.diagnostics) == ((), (), [])
+        assert hb.total == one and hb.product_check and hb.roots_simple
+        emb = embed_into_xi(m)
+        assert (emb.matrix, emb.depth, emb.dim_v, emb.target.rank) \
+            == ((), 0, 1, 0)
+
+    def test_zero_cap_saturates_only_a_simple_pole_module(self):
+        xi = xi_module(F(1, 2), 1, P)
+        assert saturate(xi, max_iter=0).steps == 0
+        fr = fresco_from_presentation(
+            FrescoPresentation([(F(3, 2), 1), (F(1, 2), 1)], P), P)
+        with pytest.raises(NotRegular):
+            saturate(fr.module, max_iter=0)
+
+
 class TestBernstein:
     def test_rank_one(self):
         assert bernstein_polynomial(module_e_lambda(F(1, 2), P)).render() \
@@ -143,7 +244,6 @@ class TestBernstein:
             == bernstein_polynomial(sat.module, mode="characteristic")
 
     def test_rank_zero(self):
-        from abmod.modules import AbModule
         assert bernstein_polynomial(AbModule([], prec=P)).degree() == 0
 
 

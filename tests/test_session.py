@@ -191,19 +191,21 @@ class TestRun:
         return steps.count(0)
 
     def test_worked_theme_saturates_each_module_once(self, monkeypatch):
-        # one run each for F, F/S_1 and the level module S_1, which the
-        # filtration validates and keeps; the one-class primitive part is
+        # one run, for F: F/S_1 and the level module S_1, which the
+        # filtration validates and keeps, have a simple pole, so each is
+        # its own saturation with no run; the one-class primitive part is
         # F, and the top level module is F/S_1
         assert self._fresh_saturations(
             monkeypatch, lambda line: not line.startswith(
-                ("show embed", "show expansion"))) == 3
+                ("show embed", "show expansion"))) == 1
 
     def test_embed_alone_saturates_each_module_once(self, monkeypatch):
-        # F, its saturation F# (whose semi-simple part starts the search)
-        # and the sub-module of the embedding's image
+        # one run, for F: its saturation F# (whose semi-simple part starts
+        # the search) and the sub-module of the embedding's image have a
+        # simple pole, so each is its own saturation with no run
         assert self._fresh_saturations(
             monkeypatch, lambda line: not line.startswith("show")
-            or line.startswith("show embed")) == 3
+            or line.startswith("show embed")) == 1
 
 
 class TestCli:
@@ -317,6 +319,16 @@ def test_random_frescos_session_matches_its_golden_output():
     assert report.to_json() == (GOLDEN / "random_frescos.json").read_text()
 
 
+def test_low_precision_session_matches_its_golden_output():
+    """60 seeded geometric frescos at precision 2-7 through every show
+    action, where derived modules run out of precision; the header of
+    low_precision.abm says what the pinned output covers."""
+    report = run_session(parse_session(
+        (GOLDEN / "low_precision.abm").read_text()))
+    assert report.to_text() == (GOLDEN / "low_precision.txt").read_text()
+    assert report.to_json() == (GOLDEN / "low_precision.json").read_text()
+
+
 def test_long_precision_session_matches_its_golden_output():
     """8 seeded geometric frescos at precision 32-64 through show
     filtration and show higher_bernstein, where an eigen-element
@@ -326,3 +338,17 @@ def test_long_precision_session_matches_its_golden_output():
         (GOLDEN / "long_precision.abm").read_text()))
     assert report.to_text() == (GOLDEN / "long_precision.txt").read_text()
     assert report.to_json() == (GOLDEN / "long_precision.json").read_text()
+
+
+def test_readme_library_example_prints_its_documented_lines(capsys):
+    """The README's library example runs as written and prints the two
+    lines its comments show."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Library example"):]
+    code = section[section.index("```python\n") + 10:]
+    code = code[:code.index("```")]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["(x + 1/2)^2", "['1*s^(-1/2)*log(s)']"]
+    assert [line[2:] for line in code.splitlines()
+            if line.startswith("# ")] == printed
