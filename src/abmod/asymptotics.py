@@ -76,7 +76,7 @@ def from_differential_system(sys: DiffSystem, prec=DEFAULT_PREC) -> AbModule:
                 poly = sys.entries[i][j]
                 h = module.zero()
                 for c in reversed(poly):
-                    h = h.act_a() + h.act_b()
+                    h = h.act_a(-1)
                     if c:
                         h = h + module.basis(i).scale(c)
                 acc = acc + h

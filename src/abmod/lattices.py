@@ -224,7 +224,14 @@ def lattice_reduce(gens, host=None, track=False) -> Lattice:
 
 
 def full_lattice(host: AbModule) -> Lattice:
-    return lattice_reduce(host.basis_elements(), host=host)
+    """The whole host, in the normal form its reduction would give: the
+    identity basis with pivots (j, 0)."""
+    if host.rank and host.prec < 1:
+        raise PrecisionExhausted("cannot decide whether lattice generator "
+                                 "entry vanishes: no known coefficients")
+    basis = [e.coords for e in host.basis_elements()]
+    return Lattice(host, basis, [(j, 0) for j in range(host.rank)], None,
+                   host.rank)
 
 
 def zero_lattice(host: AbModule) -> Lattice:

@@ -4,6 +4,12 @@ A module is determined by its a-matrix: column j holds the coordinates of
 a . e_j.  The induced action on a general element S_1 e_1 + ... + S_k e_k
 adds the commutator twist b^2 S' per coordinate, so the defining relation
 a(S x) = S (a x) + b^2 S' x holds automatically.
+
+The action is one fused row sum per coordinate: ``act_a(m)`` computes
+(a - m b) x, the a-matrix products, the twist and -m b x of each
+coordinate, as one integer accumulation in ``TruncSeries.dot`` (through
+``smat_vec``), with no intermediate series.  The saturation chain uses it
+at a - m b and the differential-system fixed point at a + b.
 """
 
 from __future__ import annotations
@@ -157,11 +163,12 @@ class ModuleElement:
         return ModuleElement(self.host,
                              tuple(s.mul_sharp(x, cap=cap) for x in self.coords))
 
-    def act_a(self) -> "ModuleElement":
-        cap = self.host.prec
-        images = smat_vec(self.host.a_matrix, self.coords, cap)
-        return ModuleElement(self.host, tuple(
-            s + x.twist(cap=cap) for s, x in zip(images, self.coords)))
+    def act_a(self, m=0) -> "ModuleElement":
+        """(a - m b) x, the a-action when m = 0: one fused row sum per
+        coordinate, with the precision of ``act_a() - act_b().scale(m)``
+        for m != 0."""
+        return ModuleElement(self.host, smat_vec(
+            self.host.a_matrix, self.coords, self.host.prec, m))
 
     def act_b(self) -> "ModuleElement":
         cap = self.host.prec
@@ -356,8 +363,10 @@ def _block_diag(mats, prec):
 
 # -- series matrix utilities (one product kernel for every layer) -----
 
-def smat_vec(mat, vec, cap):
-    """mat . vec for a series matrix and vector, at precision <= cap.
+def smat_vec(mat, vec, cap, m=None):
+    """mat . vec for a series matrix and vector, at precision <= cap; with
+    an integer m, (mat - m b) . vec + b^2 vec', the action of a - m b on
+    the coordinates vec when mat is the a-matrix.
 
     A known-zero matrix or vector entry of precision >= cap is skipped:
     its products have precision >= cap, so adding them would leave the
@@ -366,14 +375,15 @@ def smat_vec(mat, vec, cap):
 
     Each row is one fused ``TruncSeries.dot`` of its terms: one integer
     accumulation at the least of cap and every term's ``mul_sharp``
-    precision.
+    precision, which also adds the twist and -m b of its own coordinate.
     """
     skip = [x.prec >= cap and not any(x.coeffs) for x in vec]
     out = []
-    for row in mat:
+    for i, row in enumerate(mat):
         out.append(TruncSeries.dot(
             [(e, x) for e, x, zero in zip(row, vec, skip)
-             if not (zero or (e.prec >= cap and not any(e.coeffs)))], cap))
+             if not (zero or (e.prec >= cap and not any(e.coeffs)))], cap,
+            None if m is None or skip[i] else (vec[i], m)))
     return tuple(out)
 
 

@@ -12,6 +12,9 @@ are then the a-matrix of the saturated module in the rescaled basis, and
 they have a simple pole by construction.  At m = 0 that test is the
 simple-pole condition itself, so a simple-pole module (every module of
 rank 0 included) is returned as its own saturation, without the chain.
+Since E c E# c E[b^-1], every M_m has the rank of E; a step whose
+reduction comes back smaller lost generators to vanished coefficients and
+raises PrecisionExhausted.
 """
 
 from __future__ import annotations
@@ -44,14 +47,10 @@ class SaturationResult:
 
 
 def _shifted_basis_images(lat: Lattice, m: int):
-    """(a - m b) applied to each basis element."""
-    out = []
-    for g in lat.basis_elements():
-        img = g.act_a()
-        if m:
-            img = img - g.act_b().scale(m)
-        out.append(img)
-    return out
+    """(a - m b) applied to each basis element: one fused row sum per
+    coordinate (``ModuleElement.act_a(m)``), with no series built for the
+    twist, for b g or for the image under a."""
+    return [g.act_a(m) for g in lat.basis_elements()]
 
 
 def saturate(module: AbModule, max_iter=None) -> SaturationResult:
@@ -99,7 +98,14 @@ def saturate(module: AbModule, max_iter=None) -> SaturationResult:
         nxt = lattice_reduce(
             [g.act_b() for g in lat.basis_elements()] + images,
             host=module)
-        if nxt.rank == lat.rank and nxt.eq(lat):
+        if nxt.rank < module.rank:
+            # E c E# c E[b^-1] forces equal ranks: generators were dropped
+            # because their known coefficients vanished
+            raise PrecisionExhausted(
+                f"saturation step {m + 1} has rank {nxt.rank} < module rank "
+                f"{module.rank}: its generators vanish at precision "
+                f"{module.prec}")
+        if nxt.eq(lat):
             raise NotRegular(
                 f"saturation chain is self-similar at step {m}: "
                 "each step strictly enlarges the module, so the chain never "

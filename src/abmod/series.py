@@ -19,7 +19,10 @@ products (:func:`convolve`), the fused row operation
 :meth:`TruncSeries.sub_mul`, ``x - c * y`` at the precision of
 ``x - c.mul_sharp(y)``, and the fused sum of products
 :meth:`TruncSeries.dot` all use it, and :meth:`TruncSeries.invert` runs
-its recurrence on the integer form too.  ``mul_sharp``, ``sub_mul`` and
+its recurrence on the integer form too.  ``dot`` also fuses the module
+action: a row of (a - m b) x adds b^2 x_i' - m b x_i, the term
+(n - 1 - m) x_(i,n-1) at b^n, to the same sum of numerators, with no
+series built for the twist or for b x.  ``mul_sharp``, ``sub_mul`` and
 ``dot`` hand their results the integer form they computed, reduced by
 the gcd.
 Each builds one ``Fraction`` per nonzero result coefficient, and since
@@ -264,14 +267,27 @@ class TruncSeries:
         return TruncSeries._exact(_over(*form), p, form)
 
     @classmethod
-    def dot(cls, pairs, cap) -> "TruncSeries":
+    def dot(cls, pairs, cap, lift=None) -> "TruncSeries":
         """The sum of c * y over a list of (c, y) pairs, fused: the same
         coefficients and precision as ``-zero(cap).sub_mul(c, y, cap=cap)``
         chained over every pair, the precision being the least of cap and
         every ``c.mul_sharp(y)`` precision.  The products' numerators are
-        summed over the lcm of their denominators and normalised once."""
+        summed over the lcm of their denominators and normalised once.
+
+        With *lift* = (x, m) the sum also gains b^2 x' - m b x, the term
+        (n - 1 - m) x_(n-1) at b^n, and the precision is capped by that of
+        ``x.twist(cap=cap)`` and, for m != 0, of ``x.shift(1, cap=cap)``.
+        A row of (a - m b) applied to a module element is one such sum."""
         p = min([cap] + [c._sharp_prec(y, cap) for c, y in pairs])
+        if lift is not None:
+            x, m = lift
+            # the twist keeps max(px - 1, 0) + 2 orders and b x keeps px + 1
+            p = min(p, x.prec + 1 if x.prec or m else 2)
         prods = [_product(c._integers(), y._integers(), p) for c, y in pairs]
+        if lift is not None:
+            nums, dx = x._integers()
+            prods.append(([0] + [(k - m) * c for k, c
+                                 in enumerate(nums[:max(p - 1, 0)])], dx))
         d = lcm(*[dp for _, dp in prods])
         acc = [0] * p
         for nums, dp in prods:
@@ -289,15 +305,16 @@ class TruncSeries:
         p = self.prec + k
         if cap is not None:
             p = min(p, cap)
-        coeffs = [Fraction(0)] * k + list(self.coeffs)
-        return TruncSeries(coeffs[:p], p)
+        return TruncSeries._exact(((_ZERO,) * k + self.coeffs)[:p], p)
 
     def truncate(self, p: int) -> "TruncSeries":
         """The first p coefficients; *self* when p >= prec, since a series
         never changes after it is built."""
         if p >= self.prec:
             return self
-        return TruncSeries(self.coeffs[:p], p)
+        if p < 0:
+            raise ValueError("precision must be >= 0")
+        return TruncSeries._exact(self.coeffs[:p], p)
 
     def derivative(self) -> "TruncSeries":
         """d/db; loses one order of precision."""

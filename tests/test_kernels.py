@@ -17,7 +17,7 @@ import pytest
 
 from abmod import TruncSeries
 from abmod.errors import NotAUnit
-from abmod.modules import smat_mul, smat_vec
+from abmod.modules import AbModule, ModuleElement, smat_mul, smat_vec
 from abmod.ratpoly import pmul, pnorm
 from abmod.series import _numerators, convolve
 
@@ -251,3 +251,53 @@ def test_every_series_holds_its_integer_form(x, c, y, cap):
     for s in [sx, sc, sy] + results:
         assert_integer_form(s)
     assert sx.truncate(sx.prec) is sx and sx.truncate(cap + sx.prec) is sx
+
+
+@st.composite
+def module_and_element(draw):
+    """A module of rank 1-4 at precision 0 .. MAX_PREC whose a-matrix
+    entries are planted series or known zeros, and an element whose
+    coordinates have precision 0 .. the host's, known zeros included."""
+    k, p = draw(st.integers(1, 4)), draw(st.integers(0, MAX_PREC))
+
+    def entry():
+        if draw(st.booleans()):
+            return TruncSeries.zero(p)
+        s = draw(planted())[0]
+        return TruncSeries(s.coeffs, max(s.prec, p))
+
+    def coord():
+        q = draw(st.integers(0, p))
+        if draw(st.booleans()):
+            return TruncSeries.zero(q)
+        return entry().truncate(q)
+    host = AbModule([[entry() for _ in range(k)] for _ in range(k)])
+    return ModuleElement(host, [coord() for _ in range(k)])
+
+
+@settings(PROPS, max_examples=200)
+@given(module_and_element(), st.sampled_from([-1, 0, 1, 2, 5]))
+def test_fused_action_is_the_composed_action(x, m):
+    """(a - m b) x equals mat . x plus the twist minus m b x, composed
+    series by series, in every coefficient and precision; the b x term
+    limits the precision only when m is nonzero."""
+    cap = x.host.prec
+    images = smat_vec(x.host.a_matrix, x.coords, cap)
+    expect = []
+    for s, c in zip(images, x.coords):
+        s = s + c.twist(cap=cap)
+        if m:
+            s = s - c.shift(1, cap=cap).scale(m)
+        expect.append(as_pair(s))
+    got = x.act_a(m).coords
+    assert [as_pair(s) for s in got] == expect
+    for s in got:
+        assert_integer_form(s)
+
+
+def test_fused_action_on_a_coordinate_without_coefficients():
+    """A precision-0 coordinate limits its row to the twist's 2 orders,
+    and to b x's 1 order when m is nonzero."""
+    host = AbModule([[TruncSeries.zero(4)]])
+    x = ModuleElement(host, [TruncSeries.zero(0)])
+    assert [x.act_a(m).coords[0].prec for m in (0, 1, -1)] == [2, 1, 1]

@@ -12,7 +12,8 @@ from abmod import (AbmodError, HostMismatch, NotAStable, NotNormal,
                    module_e_lambda, normal_hull, quotient_module,
                    semisimple_filtration, xi_module)
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
-from abmod.lattices import (_reduce_vectors, is_normal, kernel_of_series_map,
+from abmod.lattices import (_reduce_vectors, full_lattice, is_normal,
+                            kernel_of_series_map,
                             sub_module_structure, zero_lattice)
 from abmod.modules import AbModule, ModuleElement, direct_sum
 
@@ -62,6 +63,34 @@ class TestReduce:
         bad = m.element([TruncSeries([], 0)])
         with pytest.raises(PrecisionExhausted):
             lattice_reduce([bad])
+
+
+def lattice_data(lat):
+    """Basis coefficients and precisions, pivots, tracks and generator
+    count of a lattice."""
+    return ([[(e.coeffs, e.prec) for e in vec] for vec in lat.basis],
+            lat.pivots, lat.tracks, lat.ngens)
+
+
+class TestFullLattice:
+    def test_equals_the_reduced_basis(self):
+        for rank in range(5):
+            for prec in range(1, 9):
+                host = AbModule([[TruncSeries.zero(prec)] * rank
+                                 for _ in range(rank)], prec=prec)
+                assert lattice_data(full_lattice(host)) == lattice_data(
+                    lattice_reduce(host.basis_elements(), host=host)), \
+                    (rank, prec)
+
+    def test_no_known_coefficients_raises_as_the_reduction_does(self):
+        host = AbModule([[TruncSeries.zero(0)]])
+        message = ("cannot decide whether lattice generator entry "
+                   "vanishes: no known coefficients")
+        for build in (full_lattice,
+                      lambda h: lattice_reduce(h.basis_elements(), host=h)):
+            with pytest.raises(PrecisionExhausted) as exc:
+                build(host)
+            assert str(exc.value) == message
 
 
 class TestMember:

@@ -7,12 +7,12 @@ from unittest import mock
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from abmod import (AbmodError, HostMismatch, NotRegular, RationalPolynomial,
-                   TruncSeries, bernstein_polynomial, build_xi_tensor,
-                   embed_into_xi, higher_bernstein, is_geometric,
-                   module_e_lambda, module_from_matrix, primitive_split,
-                   saturate, semisimple_filtration, semisimple_part,
-                   xi_module)
+from abmod import (AbmodError, HostMismatch, NotRegular, PrecisionExhausted,
+                   RationalPolynomial, TruncSeries, bernstein_polynomial,
+                   build_xi_tensor, embed_into_xi, higher_bernstein,
+                   is_geometric, module_e_lambda, module_from_matrix,
+                   primitive_split, saturate, semisimple_filtration,
+                   semisimple_part, xi_module)
 from abmod import saturation
 from abmod.frescos import FrescoPresentation, fresco_from_presentation
 from abmod.lattices import _reduce_vectors, full_lattice, quotient_module
@@ -210,6 +210,30 @@ class TestSimplePole:
             FrescoPresentation([(F(3, 2), 1), (F(1, 2), 1)], P), P)
         with pytest.raises(NotRegular):
             saturate(fr.module, max_iter=0)
+
+
+class TestRankLoss:
+    """E c E# c E[b^-1]: a step that reduces to a smaller rank has lost
+    generators to vanished coefficients, so it raises instead of
+    reporting a saturation of the wrong rank."""
+
+    FACTORS = [(F(7, 3), [1, 2, F(-1, 3)]), (3, [1, 2, 1]), (F(1, 2), [1, 2])]
+
+    def module(self, prec):
+        pres = FrescoPresentation(
+            [(lam, TruncSeries(unit, prec)) for lam, unit in self.FACTORS],
+            prec)
+        return fresco_from_presentation(pres, prec).module
+
+    def test_low_precision_raises_and_names_the_step(self):
+        with pytest.raises(PrecisionExhausted,
+                           match=r"saturation step 2 has rank 2 < module "
+                                 r"rank 3"):
+            saturate(self.module(2))
+
+    def test_enough_precision_keeps_the_rank(self):
+        sat = saturate(self.module(16))
+        assert (sat.steps, sat.module.rank) == (2, 3)
 
 
 class TestBernstein:
