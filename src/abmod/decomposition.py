@@ -299,7 +299,7 @@ def eigen_elements(module: AbModule, lam) -> Lattice:
         if not _vanishes_at_b0(module, lam - m, min(p - m, k + 2)):
             break
     else:
-        return lattice_reduce([], host=module)
+        return zero_lattice(module)
     zeros = [Fraction(0)] * m
     return lattice_reduce(
         [module.element([TruncSeries._exact(zeros + col[:p - m], p)

@@ -235,7 +235,7 @@ def full_lattice(host: AbModule) -> Lattice:
 
 
 def zero_lattice(host: AbModule) -> Lattice:
-    return lattice_reduce([], host=host)
+    return Lattice(host, (), (), None, 0)
 
 
 # -- normality and hulls -------------------------------------------------

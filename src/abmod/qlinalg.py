@@ -25,11 +25,6 @@ def mat_mul(a, b):
         for i in range(n))
 
 
-def mat_vec(a, v):
-    return tuple(sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0))
-                 for i in range(len(a)))
-
-
 def mat_scale(a, c):
     c = rat(c)
     return tuple(tuple(c * x for x in row) for row in a)

@@ -1,8 +1,9 @@
 """Polynomials over the rationals and Bernstein-data containers.
 
 Dense coefficient lists in ascending degree.  Includes minimal and
-characteristic polynomials of exact matrices and complete rational root
-splitting; irrational factors are kept unsplit rather than approximated.
+characteristic polynomials of exact matrices, both read off the powers
+I, M, ..., M^n of the matrix, and complete rational root splitting;
+irrational factors are kept unsplit rather than approximated.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .qlinalg import mat_mul, mat_vec, identity, mat_scale, mat_sub, trace, rref
+from .qlinalg import identity, mat_mul, rref, trace
 from .series import convolve, rat, rat_str
 
 
@@ -70,22 +71,6 @@ def pmonic(p):
     return pscale(p, 1 / p[-1])
 
 
-def pgcd(p, q):
-    p, q = pnorm(p), pnorm(q)
-    while pdeg(q) >= 0:
-        _, r = pdivmod(p, q)
-        p, q = q, r
-    return pmonic(p)
-
-
-def plcm(p, q):
-    g = pgcd(p, q)
-    if pdeg(g) < 0:
-        return pnorm((0,))
-    quot, _ = pdivmod(pmul(p, q), g)
-    return pmonic(quot)
-
-
 def peval(p, x):
     x = rat(x)
     acc = Fraction(0)
@@ -136,51 +121,38 @@ def prender(p, var="x") -> str:
 
 # -- minimal / characteristic polynomial ------------------------------
 
+def _powers(m):
+    """I, M, ..., M^n of an n x n matrix."""
+    powers = [identity(len(m))]
+    for _ in m:
+        powers.append(mat_mul(m, powers[-1]))
+    return powers
+
+
 def charpoly(m):
-    """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier."""
-    n = len(m)
-    if n == 0:
-        return (Fraction(1),)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = m
-    for k in range(1, n + 1):
-        ck = -trace(mk) / k
-        coeffs[n - k] = ck
-        if k < n:
-            mk = mat_mul(m, mat_sub(mk, mat_scale(identity(n), -ck)))
-    return pnorm(coeffs)
+    """Characteristic polynomial det(xI - M), from the power sums
+    p_k = tr(M^k) by Newton's identities: with det(xI - M) =
+    x^n + c_1 x^(n-1) + ... + c_n and c_0 = 1,
+    k c_k = -(c_0 p_k + ... + c_(k-1) p_1)."""
+    sums = [trace(pw) for pw in _powers(m)]
+    c = [Fraction(1)]
+    for k in range(1, len(m) + 1):
+        c.append(-sum((c[i] * sums[k - i] for i in range(k)), Fraction(0)) / k)
+    return pnorm(c[::-1])
 
 
 def minpoly(m):
-    """Minimal polynomial of an exact square matrix, via Krylov chains."""
-    n = len(m)
-    if n == 0:
-        return (Fraction(1),)
-    result = (Fraction(1),)
-    for start in range(n):
-        v = tuple(Fraction(int(i == start)) for i in range(n))
-        chain = [v]
-        while True:
-            v = mat_vec(m, v)
-            # look for a dependency: chain matrix columns are the vectors
-            cols = chain + [v]
-            a = tuple(tuple(cols[j][i] for j in range(len(cols)))
-                      for i in range(n))
-            red, pivots = rref(a)
-            if len(pivots) < len(cols):
-                # last column depends on the previous ones
-                d = len(chain)
-                coeffs = [Fraction(0)] * d + [Fraction(1)]
-                for r, pc in enumerate(pivots):
-                    coeffs[pc] = -red[r][d]
-                local = pnorm(coeffs)
-                break
-            chain.append(v)
-        result = plcm(result, local)
-        if pdeg(result) == n:
-            break
-    return pmonic(result)
+    """Minimal polynomial of an exact square matrix.
+
+    M^d is the first power that depends on I, ..., M^(d-1); by
+    Cayley-Hamilton d <= n, and every later power depends too.  So the
+    reduced echelon form of the flattened powers (one column each) has
+    pivots 0..d-1, and its column d holds M^d in terms of the lower ones.
+    """
+    cols = [[x for row in pw for x in row] for pw in _powers(m)]
+    red, pivots = rref(tuple(zip(*cols)))
+    d = len(pivots)
+    return pnorm([-red[r][d] for r in range(d)] + [Fraction(1)])
 
 
 # -- rational root splitting ------------------------------------------
@@ -312,8 +284,6 @@ class RationalPolynomial:
                 base = f"(x + {rat_str(-v)})"
             else:
                 base = f"(x - {rat_str(v)})"
-            if v == 0 and m > 1:
-                base = "x"
             parts.append(base + (f"^{m}" if m > 1 else ""))
         if self.unsplit is not None:
             parts.append(f"[{prender(self.unsplit)}]")

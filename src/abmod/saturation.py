@@ -134,9 +134,13 @@ def saturate(module: AbModule, max_iter=None) -> SaturationResult:
 
 @derived
 def bernstein_polynomial(module: AbModule, mode="minimal") -> RationalPolynomial:
-    """Minimal (default) or characteristic polynomial of -b^(-1)a on E#/bE#."""
-    res = saturate(module).module.residue()
-    neg = tuple(tuple(-c for c in row) for row in res)
+    """Minimal (default) or characteristic polynomial of -b^(-1)a on E#/bE#.
+    It is computed once, on E#, which is its own saturation (its a-matrix
+    has valuation >= 1); any other module returns the object of its E#."""
+    sat = saturate(module).module
+    if sat is not module:
+        return bernstein_polynomial(sat, mode)
+    neg = tuple(tuple(-c for c in row) for row in module.residue())
     return RationalPolynomial.from_matrix(neg, mode=mode)
 
 

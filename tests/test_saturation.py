@@ -100,6 +100,31 @@ class TestMemo:
         with pytest.raises(TypeError):
             bernstein_polynomial(m, "minimal", mode="minimal")
 
+    @pytest.mark.parametrize("mode", ["minimal", "characteristic"])
+    @pytest.mark.parametrize("lams", [(F(3, 2), F(1, 2)),
+                                      (F(7, 2), F(5, 2), F(3, 2))])
+    def test_bernstein_is_computed_once_on_the_saturation(self, mode, lams):
+        m = fresco_from_presentation(
+            FrescoPresentation([(lam, 1) for lam in lams], P), P).module
+        sat = saturate(m).module
+        assert sat is not m
+        assert bernstein_polynomial(m, mode) is bernstein_polynomial(sat, mode)
+
+    def test_embedding_computes_each_residue_polynomial_once(self,
+                                                             monkeypatch):
+        # E and E# share one polynomial: one for E# (the geometric check)
+        # and one for the sub-module of the embedding's image
+        m = fresco_from_presentation(FrescoPresentation(
+            [(F(7, 2), 1), (F(5, 2), 1), (F(3, 2), 1)], P), P).module
+        assert saturate(m).steps == 2
+        modes = []
+        from_matrix = RationalPolynomial.from_matrix.__func__
+        monkeypatch.setattr(RationalPolynomial, "from_matrix", classmethod(
+            lambda cls, mat, mode="minimal":
+            modes.append(mode) or from_matrix(cls, mat, mode)))
+        embed_into_xi(m)
+        assert len(modes) == 2
+
     def test_cap_below_cached_steps_raises_as_a_fresh_run(self):
         m = theme_module()
         s = saturate(m).steps

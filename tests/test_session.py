@@ -96,6 +96,19 @@ class TestRun:
             {"value": "-1/2", "mult": 2}]
         assert not report.failed
 
+    @pytest.mark.parametrize("matrix, text", [
+        ("[[0, 2*b], [b, 0]]", "[x^2 - 2]"),
+        ("[[b, 0], [0, b]]", "(x + 1)"),
+        ("[[b, 0], [b, b]]", "(x + 1)^2"),
+        ("[[0, 0, 2*b], [b, 0, 0], [0, b, 0]]", "[x^3 + 2]"),
+    ])
+    def test_bernstein_prints_the_minimal_polynomial(self, matrix, text):
+        # unsplit and derogatory minimal polynomials, which no golden
+        # session shows
+        report = run_session(parse_session(
+            f"precision 8\nlet M = module {matrix}\nshow bernstein M\n"))
+        assert report.entries[-1]["text"] == [f"bernstein (minimal): {text}"]
+
     def test_higher_bernstein_of_theme(self):
         report = run_session(parse_session(
             "let F = fresco [(3/2, 1), (1/2, 1)]\nshow higher_bernstein F\n"))
