@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .errors import (AbmodError, HostMismatch, NoEmbeddingFound, NonSquare,
                      PrecisionExhausted, ValidationFailed)
@@ -376,20 +377,13 @@ class LogPowerFunction:
         return upto(self) == upto(other)
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def basis_realization(host: AbModule, index: int, order_cap=64) -> LogPowerFunction:
     """The expansion-function realization of a basis vector of an
     expansion module: e_j corresponds to (alpha^j / j!) s^(alpha-1) log^j."""
-    if host.xi is None:
+    if host.legend is None:
         raise ValueError("module does not carry expansion-block structure")
-    alpha, j, _copy = host.xi.legend[index]
-    c = Fraction(alpha) ** j / _factorial(j)
+    alpha, j = host.legend[index]
+    c = Fraction(alpha) ** j / factorial(j)
     return LogPowerFunction({(alpha, 0, j): c}, order_cap)
 
 
@@ -405,7 +399,7 @@ def realize_expansion(x: ModuleElement, order: int):
 
 def realize_function(x: ModuleElement, order_cap: int) -> LogPowerFunction:
     host = x.host
-    if host.xi is None:
+    if host.legend is None:
         raise ValueError("element does not live in an expansion module")
     total = LogPowerFunction(order_cap=order_cap)
     for t, coeff in enumerate(x.coords):

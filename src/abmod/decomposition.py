@@ -37,8 +37,8 @@ from .lattices import (Lattice, Quotient, full_lattice, is_normal,
 from .linsolve import ParamSolver
 from .modules import (AbModule, derived, module_e_lambda, smat_coeff,
                       smat_from_const, smat_mul)
-from .qlinalg import (identity, inverse as qinverse, mat_mul, mat_sub,
-                      mat_scale, nullspace, solve as qsolve)
+from .qlinalg import (identity, inverse as qinverse, mat_mul, nullspace,
+                      solve as qsolve)
 from .ratpoly import RationalPolynomial
 from .saturation import bernstein_polynomial, require_geometric, saturate
 from .series import TruncSeries, rat, rat_str
@@ -498,7 +498,7 @@ def _sylvester_solve(p, q, shift, rhs):
     return tuple(tuple(sol[i * nq + j] for j in range(nq)) for i in range(np_))
 
 
-def primitive_split(module: AbModule, classes, mode="minimal") -> PrimitiveSplit:
+def primitive_split(module: AbModule, classes) -> PrimitiveSplit:
     """Split off the largest normal sub-module with no Bernstein root in
     the given classes mod Z; the quotient is primitive for those classes.
 
@@ -512,14 +512,16 @@ def primitive_split(module: AbModule, classes, mode="minimal") -> PrimitiveSplit
     order by order as Sylvester equations (solvable because distinct
     classes stay disjoint under integer shifts).  The off-class part is
     the kernel of the series map (x, y) -> inclusion . x - T_out . y,
-    T_out = C (X; I), projected to x.
+    T_out = C (X; I), projected to x.  The part's characteristic Bernstein
+    polynomial is compared with the class part of the module's; a
+    mismatch is a diagnostic.  One split per module and set of classes.
     """
     return _primitive_split(
-        module, tuple(sorted({class_mod_z(c) for c in classes})), mode)
+        module, tuple(sorted({class_mod_z(c) for c in classes})))
 
 
 @derived
-def _primitive_split(module: AbModule, cls_set, mode) -> PrimitiveSplit:
+def _primitive_split(module: AbModule, cls_set) -> PrimitiveSplit:
     diagnostics = []
     cert = require_geometric(module)
     sat = saturate(module)
@@ -530,16 +532,18 @@ def _primitive_split(module: AbModule, cls_set, mode) -> PrimitiveSplit:
     out_vals = [nu for nu in eigvals if class_mod_z(nu) not in cls_set]
 
     if not out_vals:
-        return _checked_split(module, cls_set, zero_lattice(module), mode,
+        return _checked_split(module, cls_set, zero_lattice(module),
                               diagnostics)
     if not in_vals:
-        return _checked_split(module, cls_set, full_lattice(module), mode,
+        return _checked_split(module, cls_set, full_lattice(module),
                               diagnostics)
 
     def gen_eigenspace(vals):
         m = identity(k)
         for nu in vals:
-            factor = mat_sub(res, mat_scale(identity(k), nu))
+            factor = tuple(tuple(x - nu if i == j else x
+                                 for j, x in enumerate(row))
+                           for i, row in enumerate(res))
             for _ in range(k):
                 m = mat_mul(factor, m)
         return nullspace(m)
@@ -562,7 +566,7 @@ def _primitive_split(module: AbModule, cls_set, mode) -> PrimitiveSplit:
                            host=module)
     if not is_normal(e_not):
         diagnostics.append("off-class kernel lattice is not normal")
-    return _checked_split(module, cls_set, e_not, mode, diagnostics)
+    return _checked_split(module, cls_set, e_not, diagnostics)
 
 
 def _add_product(acc, a, b):
@@ -655,18 +659,18 @@ def _off_class_columns(module: AbModule, cmat, k_in):
                     x_mat + smat_from_const(identity(k_out), p), p)
 
 
-def _checked_split(module, cls_set, e_not, mode, diagnostics):
+def _checked_split(module, cls_set, e_not, diagnostics):
     """The split with quotient E / e_not, or E itself when e_not is zero;
-    the part's Bernstein polynomial must equal the class part of the
-    module's Bernstein polynomial."""
+    the part's characteristic Bernstein polynomial must equal the class
+    part of the module's."""
     quot = None if e_not.is_zero() else quotient_module(module, e_not)
     split = PrimitiveSplit(module, cls_set, e_not, quot, diagnostics)
-    b_poly = bernstein_polynomial(module, mode=mode)
+    b_poly = bernstein_polynomial(module, mode="characteristic")
     if not b_poly.is_split():
         diagnostics.append("class comparison skipped: unsplit Bernstein factor")
         return split
     expected = [(v, m) for v, m in b_poly.roots if class_mod_z(-v) in cls_set]
-    actual = bernstein_polynomial(split.part_module, mode=mode)
+    actual = bernstein_polynomial(split.part_module, mode="characteristic")
     if RationalPolynomial.from_roots(expected) != actual:
         diagnostics.append(
             "Bernstein polynomial of the class part does not match the "
@@ -680,7 +684,6 @@ def _checked_split(module, cls_set, e_not, mode, diagnostics):
 class ClassLevels:
     alpha: Fraction
     nilpotent_order: int
-    part_rank: int
     levels: tuple      # (j, delta_j, RationalPolynomial) per level
 
     def to_json(self):
@@ -737,7 +740,7 @@ def _higher_bernstein(module: AbModule) -> HigherBernstein:
     alphas = sorted({class_mod_z(-v) for v, _ in b_total.roots})
     per_class = []
     for alpha in alphas:
-        split = primitive_split(module, {alpha}, mode="characteristic")
+        split = primitive_split(module, {alpha})
         diagnostics.extend(split.diagnostics)
         part = split.part_module
         if part.rank == 0:
@@ -749,7 +752,7 @@ def _higher_bernstein(module: AbModule) -> HigherBernstein:
             delta = part.rank - step.rank
             poly = bernstein_polynomial(level, mode="characteristic")
             levels.append((j, delta, poly.shift(delta)))
-        per_class.append(ClassLevels(alpha, filt.nilpotent_order, part.rank,
+        per_class.append(ClassLevels(alpha, filt.nilpotent_order,
                                      tuple(levels)))
 
     dmax = max((c.nilpotent_order for c in per_class), default=0)

@@ -54,10 +54,12 @@ class FrescoPresentation:
     def lambdas(self):
         return tuple(lam for lam, _ in self.factors)
 
-    def operator(self, prec=None, a_bound=None) -> AbOperator:
+    def operator(self, prec=None) -> AbOperator:
+        """The product of the factors (a - lambda_j b) U_j, the last unit
+        left out, at precision prec (by default the least unit precision)
+        and with the a-degree bound max(2k + 4, DEFAULT_A_BOUND)."""
         p = prec if prec is not None else min(u.prec for _, u in self.factors)
-        bound = a_bound if a_bound is not None else max(
-            2 * self.rank + 4, DEFAULT_A_BOUND)
+        bound = max(2 * self.rank + 4, DEFAULT_A_BOUND)
         a = AbOperator.gen_a(p, bound)
         b = AbOperator.gen_b(p, bound)
         acc = None
@@ -128,21 +130,20 @@ def bernstein_via_formula(
     return poly, poly_violations
 
 
-def generated_submodule(host: AbModule, x: ModuleElement,
-                        max_rank=None) -> Fresco:
+def generated_submodule(host: AbModule, x: ModuleElement) -> Fresco:
     """The cyclic sub-module generated by x, with its minimal monic relation.
 
     Iterates powers of a on x until the lattice span absorbs the next power;
     the coordinates of that power against the generator chain give the left
-    form of the relation (a^r + sum T_m a^m) x = 0.
+    form of the relation (a^r + sum T_m a^m) x = 0.  The search stops at
+    r = host.rank.
     """
     if x.is_zero_known():
         raise ValueError("the zero element does not generate a sub-module")
-    cap = max_rank if max_rank is not None else host.rank
     gens = [x]
     lat = lattice_reduce(gens, host=host, track=True)
     y = x
-    for m in range(1, cap + 1):
+    for m in range(1, host.rank + 1):
         y = y.act_a()
         coords = lat.generator_coords(y)
         if coords is not None:
@@ -155,7 +156,7 @@ def generated_submodule(host: AbModule, x: ModuleElement,
         gens.append(y)
         lat = lattice_reduce(gens, host=host, track=True)
     raise PrecisionExhausted(
-        f"no monic relation of degree <= {cap} found for the generator")
+        f"no monic relation of degree <= {host.rank} found for the generator")
 
 
 @dataclass

@@ -139,29 +139,26 @@ def _reduce_vectors(vectors, dim, prec):
             dst[i] = dst[i].sub_mul(q, src[i], cap=prec)
 
     while True:
-        # drop the vectors whose first dim coordinates are decided zero
-        alive = []
+        # one scan per vector: drop it when its first dim coordinates are
+        # decided zero, and pick the pivot, the minimal (valuation,
+        # coordinate, index among the survivors)
+        alive, best = [], None
         for vec in work:
-            for i in range(dim):
-                if not vec[i].decided_zero("lattice generator entry"):
-                    alive.append(vec)
-                    break
-            else:
-                dropped.append(vec)
-        work = alive
-        if not work:
-            break
-
-        # pick the pivot: minimal (valuation, coordinate, generator index)
-        best = None
-        for idx, vec in enumerate(work):
+            live = False
             for coord in range(dim):
                 v = vec[coord].known_valuation()
                 if v is None:
+                    if not live:
+                        vec[coord].decided_zero("lattice generator entry")
                     continue
-                key = (v, coord, idx)
+                live = True
+                key = (v, coord, len(alive))
                 if best is None or key < best:
                     best = key
+            (alive if live else dropped).append(vec)
+        work = alive
+        if not work:
+            break
         v, coord, idx = best
         g = work.pop(idx)
 

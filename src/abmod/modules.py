@@ -21,25 +21,17 @@ from .operators import AbOperator
 from .series import DEFAULT_PREC, TruncSeries, rat, rat_str
 
 
-class XiInfo:
-    """Block description of an expansion module: per-block (alpha, log index)."""
-
-    __slots__ = ("alphas", "depth", "dim_v", "legend")
-
-    def __init__(self, alphas, depth, dim_v, legend):
-        self.alphas = tuple(alphas)   # distinct exponent classes, in order
-        self.depth = depth            # maximal log power N
-        self.dim_v = dim_v
-        self.legend = tuple(legend)   # per basis index: (alpha, j, copy)
-
-
 class AbModule:
     """Rank-k module over truncated series with an a-action matrix; it
-    never changes, and ``memo`` keeps what is derived from it."""
+    never changes, and ``memo`` keeps what is derived from it.
 
-    __slots__ = ("rank", "prec", "a_matrix", "xi", "memo")
+    ``legend`` describes an expansion module: one (alpha, j) per basis
+    vector, which stands for the term s^(alpha-1) log^j s.  It is None for
+    a module that is not an expansion module."""
 
-    def __init__(self, a_matrix, prec=None, xi=None):
+    __slots__ = ("rank", "prec", "a_matrix", "legend", "memo")
+
+    def __init__(self, a_matrix, prec=None, legend=None):
         rows = tuple(tuple(entry for entry in row) for row in a_matrix)
         k = len(rows)
         for row in rows:
@@ -55,7 +47,7 @@ class AbModule:
         self.rank = k
         self.prec = p
         self.a_matrix = rows
-        self.xi = xi
+        self.legend = None if legend is None else tuple(legend)
         self.memo = {}
 
     # -- elements -------------------------------------------------------
@@ -299,47 +291,31 @@ def xi_module(alpha, depth, prec=DEFAULT_PREC) -> AbModule:
     z = TruncSeries.zero(prec)
     mat = [[ab if (i == j or i == j - 1) else z for j in range(k)]
            for i in range(k)]
-    legend = [(alpha, j, 0) for j in range(k)]
-    m = AbModule(mat, prec=prec, xi=XiInfo((alpha,), depth, 1, legend))
-    return m
+    return AbModule(mat, prec=prec, legend=[(alpha, j) for j in range(k)])
 
 
 def build_xi_tensor(alphas, depth, dim_v=1, prec=DEFAULT_PREC) -> AbModule:
-    """Direct sum over alphas of Xi_alpha^(depth) tensored with a dim_v space."""
-    alphas = [rat(a) for a in alphas]
+    """Direct sum over alphas of Xi_alpha^(depth) tensored with a dim_v
+    space: one Xi_alpha^(depth) block per (class, copy), duplicate alphas
+    dropped."""
+    classes = dict.fromkeys(rat(a) for a in alphas)
     if depth < 0 or dim_v < 1:
         raise BadAlpha("need depth >= 0 and dim_v >= 1")
-    seen = []
-    for a in alphas:
-        if not (0 < a <= 1):
-            raise BadAlpha(f"alpha must be in (0, 1], got {rat_str(a)}")
-        if a not in seen:
-            seen.append(a)
-    blocks = []
-    legend = []
-    for a in seen:
-        base = xi_module(a, depth, prec)
-        for copy in range(dim_v):
-            blocks.append(base)
-            legend.extend((a, j, copy) for j in range(depth + 1))
-    mat = _block_diag([m.a_matrix for m in blocks], prec)
-    return AbModule(mat, prec=prec,
-                    xi=XiInfo(seen, depth, dim_v, legend))
+    bases = [xi_module(a, depth, prec) for a in classes]
+    blocks = [m for m in bases for _ in range(dim_v)]
+    return AbModule(_block_diag([m.a_matrix for m in blocks], prec),
+                    prec=prec, legend=[t for m in blocks for t in m.legend])
 
 
 def direct_sum(*mods: AbModule) -> AbModule:
+    """The block-diagonal sum; an expansion module when every summand is
+    one, its legend the summands' legends in order."""
     prec = min(m.prec for m in mods)
-    xi = None
-    if all(m.xi is not None for m in mods):
-        legend = []
-        alphas = []
-        for m in mods:
-            legend.extend(m.xi.legend)
-            for a in m.xi.alphas:
-                if a not in alphas:
-                    alphas.append(a)
-        xi = XiInfo(alphas, max(m.xi.depth for m in mods), 1, legend)
-    return AbModule(_block_diag([m.a_matrix for m in mods], prec), prec=prec, xi=xi)
+    legend = None
+    if all(m.legend is not None for m in mods):
+        legend = [t for m in mods for t in m.legend]
+    return AbModule(_block_diag([m.a_matrix for m in mods], prec), prec=prec,
+                    legend=legend)
 
 
 def module_e_lambda(lam, prec=DEFAULT_PREC) -> AbModule:

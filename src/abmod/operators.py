@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .errors import ADegreeExceeded
 from .ratpoly import pnorm, padd, pscale, pdeg
-from .series import DEFAULT_PREC, TruncSeries, rat, rat_str
+from .series import (DEFAULT_PREC, TruncSeries, power_factor, rat, rat_str,
+                     render_terms)
 
 DEFAULT_A_BOUND = 64
 
@@ -182,27 +183,9 @@ class AbOperator:
         return out
 
     def render(self) -> str:
-        frags = []
-        for q in sorted(self.terms):
-            poly = self.terms[q]
-            for m in range(len(poly) - 1, -1, -1):
-                c = poly[m]
-                if not c:
-                    continue
-                bits = []
-                if q:
-                    bits.append("b" if q == 1 else f"b^{q}")
-                if m:
-                    bits.append("a" if m == 1 else f"a^{m}")
-                mag = abs(c)
-                if mag != 1 or not bits:
-                    bits.insert(0, rat_str(mag))
-                frag = "*".join(bits)
-                if not frags:
-                    frags.append(("-" if c < 0 else "") + frag)
-                else:
-                    frags.append(("- " if c < 0 else "+ ") + frag)
-        return " ".join(frags) if frags else "0"
+        return render_terms((c, power_factor("b", q) + power_factor("a", m))
+                            for q, poly in sorted(self.terms.items())
+                            for m, c in reversed(list(enumerate(poly))) if c)
 
     def __repr__(self):
         return f"AbOperator({self.render()}; prec={self.prec})"

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import rat
-
 
 def identity(n):
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
@@ -23,15 +21,6 @@ def mat_mul(a, b):
         tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
               for j in range(m))
         for i in range(n))
-
-
-def mat_scale(a, c):
-    c = rat(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def trace(a):

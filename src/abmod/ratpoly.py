@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .qlinalg import identity, mat_mul, rref, trace
-from .series import convolve, rat, rat_str
+from .series import convolve, power_factor, rat, rat_str, render_terms
 
 
 # -- raw polynomial helpers (ascending coefficients) ------------------
@@ -98,25 +98,8 @@ def pfrom_roots(roots):
 
 
 def prender(p, var="x") -> str:
-    p = pnorm(p)
-    if pdeg(p) < 0:
-        return "0"
-    parts = []
-    for i in range(len(p) - 1, -1, -1):
-        c = p[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            frag = rat_str(mag)
-        else:
-            pw = var if i == 1 else f"{var}^{i}"
-            frag = pw if mag == 1 else f"{rat_str(mag)}*{pw}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + frag)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + frag)
-    return " ".join(parts)
+    return render_terms((c, power_factor(var, i))
+                        for i, c in reversed(list(enumerate(pnorm(p)))) if c)
 
 
 # -- minimal / characteristic polynomial ------------------------------

@@ -28,6 +28,11 @@ the gcd.
 Each builds one ``Fraction`` per nonzero result coefficient, and since
 ``Fraction`` is canonical the rationals are the ones that exact rational
 arithmetic gives.
+
+:func:`render_terms` is the one renderer of a signed sum of terms: series
+in b, polynomials (``ratpoly.prender``) and operators in a and b
+(``AbOperator.render``) each hand it (coefficient, factors) pairs in
+their own order.
 """
 
 from __future__ import annotations
@@ -58,6 +63,27 @@ def rat_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def power_factor(var: str, i: int) -> list:
+    """The factors of var^i in a rendered term: none, var, or var^i."""
+    if i == 0:
+        return []
+    return [var if i == 1 else f"{var}^{i}"]
+
+
+def render_terms(terms) -> str:
+    """The signed sum of (coefficient, factors) pairs, e.g. (-2, ["b^2"])
+    as -2*b^2: the first term keeps a bare minus, later ones are joined by
+    '+ ' or '- ', and a magnitude of 1 is dropped before a factor.  The
+    empty sum is 0."""
+    parts = []
+    for c, factors in terms:
+        mag = abs(c)
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + "*".join(factors if mag == 1 and factors
+                                     else [rat_str(mag)] + factors))
+    return " ".join(parts) if parts else "0"
 
 
 def _numerators(coeffs, n: int):
@@ -390,22 +416,8 @@ class TruncSeries:
     # -- rendering ----------------------------------------------------
 
     def render(self, var="b") -> str:
-        terms = [(c, i) for i, c in enumerate(self.coeffs) if c]
-        if not terms:
-            return "0"
-        parts = []
-        for c, i in terms:
-            mag = abs(c)
-            if i == 0:
-                frag = rat_str(mag)
-            else:
-                pw = var if i == 1 else f"{var}^{i}"
-                frag = pw if mag == 1 else f"{rat_str(mag)}*{pw}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + frag)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + frag)
-        return " ".join(parts)
+        return render_terms((c, power_factor(var, i))
+                            for i, c in enumerate(self.coeffs) if c)
 
     def __repr__(self):
         return f"TruncSeries({self.render()}; prec={self.prec})"

@@ -172,7 +172,7 @@ def test_criterion_06_decomposition_laws():
         fr = fresco_from_presentation(FrescoPresentation(factors, prec), prec)
         total = bernstein_polynomial(fr.module, mode="characteristic")
         for alpha in (F(1, 2), F(1, 3)):
-            split = primitive_split(fr.module, {alpha}, mode="characteristic")
+            split = primitive_split(fr.module, {alpha})
             assert not split.diagnostics
             expected = [(v, m) for v, m in total.roots
                         if class_mod_z(-v) == alpha]

@@ -1,6 +1,7 @@
 """Differential systems, embeddings and log-power expansions."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
@@ -118,7 +119,7 @@ class TestEmbedding:
         emb = embed_into_xi(AbModule([], prec=P))
         assert (emb.classes, emb.depth, emb.dim_v, emb.matrix) \
             == ((), 0, 1, ())
-        assert emb.target.rank == 0 and emb.target.xi.legend == ()
+        assert emb.target.rank == 0 and emb.target.legend == ()
         assert emb.check_equivariance()
 
     @pytest.mark.parametrize("module", [
@@ -130,7 +131,7 @@ class TestEmbedding:
         a-action: a (b^m e_i) has the component alpha b^(m+1) on e_(i-1),
         and Phi(a e_j) keeps row i-1 as it was."""
         emb = embed_into_xi(module)
-        rows = [i for i, (_, log, _) in enumerate(emb.target.xi.legend)
+        rows = [i for i, (_, log) in enumerate(emb.target.legend)
                 if log >= 1]
         assert rows and emb.check_equivariance()
         for i in rows:
@@ -320,6 +321,48 @@ def test_unit_candidates_have_rank_at_most_depth_plus_one(case):
     for q in live:
         assert asymptotics._series_matrix_rank(
             build({q: F(1)}), target.rank, src.prec) <= depth + 1
+
+
+XI_SHAPES = st.tuples(
+    st.lists(st.sampled_from([F(1, 2), F(1, 3), F(2, 5), F(1)]),
+             min_size=1, max_size=3),
+    st.integers(0, 2), st.integers(1, 2))
+
+
+@PROPS
+@given(XI_SHAPES)
+def test_xi_tensor_is_the_direct_sum_of_its_blocks(shape):
+    """One Xi_alpha^(N) block per (class, copy), classes in first-seen
+    order, duplicates dropped: the a-matrix and the legend of their
+    direct sum."""
+    alphas, depth, dim_v = shape
+    classes = list(dict.fromkeys(alphas))
+    target = build_xi_tensor(alphas, depth, dim_v, P)
+    ref = direct_sum(*[xi_module(a, depth, P)
+                       for a in classes for _ in range(dim_v)])
+    assert coefficients(target.a_matrix) == coefficients(ref.a_matrix)
+    assert target.legend == ref.legend == tuple(
+        (a, j) for a in classes for _ in range(dim_v)
+        for j in range(depth + 1))
+
+
+@PROPS
+@given(XI_SHAPES)
+def test_each_basis_vector_realizes_its_legend_term(shape):
+    """e_t with legend (alpha, j) is the one term
+    (alpha^j / j!) s^(alpha-1) log^j s."""
+    target = build_xi_tensor(*shape, P)
+    for t, (alpha, j) in enumerate(target.legend):
+        terms = realize_expansion(target.basis(t), 4)
+        assert [(e.alpha, e.m, e.j, e.coeff) for e in terms] == [
+            (alpha, 0, j, alpha ** j / math.factorial(j))]
+
+
+def test_a_module_without_legend_has_no_realization():
+    m = direct_sum(xi_module(F(1, 2), 0, P), module_e_lambda(F(1, 2), P))
+    assert m.legend is None
+    with pytest.raises(ValueError):
+        realize_expansion(m.basis(0), 2)
 
 
 class TestRealize:

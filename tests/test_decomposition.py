@@ -449,8 +449,7 @@ def modules_around(module):
                    for step in semisimple_filtration(module).steps[:-1])
         roots = bernstein_polynomial(module, mode="characteristic").roots
         for alpha in sorted({class_mod_z(-v) for v, _ in roots}):
-            out.append(primitive_split(module, {alpha},
-                                       mode="characteristic").part_module)
+            out.append(primitive_split(module, {alpha}).part_module)
     except AbmodError as exc:
         event(type(exc).__name__)
     return out
@@ -708,7 +707,7 @@ class TestPrimitiveSplit:
     def test_class_swap_on_mixed_fresco(self):
         fr = fresco_from_presentation(
             FrescoPresentation([(F(3, 2), 1), (F(1, 3),)], P), P)
-        split = primitive_split(fr.module, {F(1, 2)}, mode="characteristic")
+        split = primitive_split(fr.module, {F(1, 2)})
         sub = sub_module_structure(split.not_part)
         assert bernstein_polynomial(sub.module).roots == ((F(-4, 3), 1),)
         assert bernstein_polynomial(split.part_module).roots == ((F(-1, 2), 1),)
@@ -716,13 +715,13 @@ class TestPrimitiveSplit:
 
     def test_all_classes_keeps_everything(self):
         fr = theme()
-        split = primitive_split(fr.module, {F(1, 2)}, mode="characteristic")
+        split = primitive_split(fr.module, {F(1, 2)})
         assert split.not_part.is_zero()
         assert split.quotient is None and split.part_module is fr.module
 
     def test_no_classes_kills_everything(self):
         fr = theme()
-        split = primitive_split(fr.module, {F(1, 3)}, mode="characteristic")
+        split = primitive_split(fr.module, {F(1, 3)})
         assert split.not_part.rank == 2
         assert split.part_module.rank == 0
 
@@ -731,7 +730,7 @@ class TestPrimitiveSplit:
             FrescoPresentation([(F(5, 2), 1), (F(7, 3), 1), (F(3, 2),)], P), P)
         total = bernstein_polynomial(fr.module, mode="characteristic")
         for alpha in (F(1, 2), F(1, 3)):
-            split = primitive_split(fr.module, {alpha}, mode="characteristic")
+            split = primitive_split(fr.module, {alpha})
             part_poly = bernstein_polynomial(split.part_module,
                                              mode="characteristic")
             expected = [(v, m) for v, m in total.roots
@@ -750,7 +749,7 @@ def test_primitive_split_separates_the_classes(module):
     for alpha in sorted({class_mod_z(-v) for v, _ in roots}):
         in_roots = tuple((v, m) for v, m in roots if class_mod_z(-v) == alpha)
         off_count = sum(m for v, m in roots if class_mod_z(-v) != alpha)
-        split = primitive_split(module, {alpha}, mode="characteristic")
+        split = primitive_split(module, {alpha})
         assert not split.diagnostics
         assert is_normal(split.not_part)
         assert split.not_part.rank == off_count
@@ -773,7 +772,7 @@ def test_gauge_blocks_solve_with_the_right_hand_side_sign():
     fr = fresco_from_presentation(FrescoPresentation(
         [(F(3, 2), TruncSeries([1, 1], P)), (F(1, 3), 1)], P), P)
     for alpha in (F(1, 2), F(1, 3)):
-        split = primitive_split(fr.module, {alpha}, mode="characteristic")
+        split = primitive_split(fr.module, {alpha})
         assert not split.diagnostics
         assert split.not_part.rank == split.part_module.rank == 1
 
@@ -849,7 +848,7 @@ def recorded_off_class_columns(module, check=None):
     roots = bernstein_polynomial(module, mode="characteristic").roots
     with mock.patch.object(decomposition, "_off_class_columns", recording):
         for alpha in sorted({class_mod_z(-v) for v, _ in roots}):
-            primitive_split(module, {alpha}, mode="characteristic")
+            primitive_split(module, {alpha})
     return calls
 
 
@@ -910,7 +909,7 @@ class TestFiltrationSplitCompatibility:
             FrescoPresentation([(F(5, 2), 1), (F(7, 3), 1), (F(3, 2),)], P), P)
         module = fr.module
         for alpha in (F(1, 2), F(1, 3)):
-            split = primitive_split(module, {alpha}, mode="characteristic")
+            split = primitive_split(module, {alpha})
             part = split.part_module
             if part.rank == 0:
                 continue
@@ -929,6 +928,21 @@ class TestMemo:
         split = primitive_split(m, {F(1, 2)})
         assert primitive_split(m, [F(3, 2)]) is split
         assert primitive_split(m, {F(1, 3)}) is not split
+
+    @pytest.mark.parametrize("fr", [
+        theme(),
+        fresco_from_presentation(
+            FrescoPresentation([(F(3, 2), 1), (F(1, 3),)], P), P)],
+        ids=["theme", "two_classes"])
+    def test_higher_bernstein_split_is_the_public_one(self, fr):
+        """After higher_bernstein, primitive_split of each class is a memo
+        hit: no second split is made and checked."""
+        hb = higher_bernstein(fr.module)
+        with mock.patch.object(decomposition, "_checked_split",
+                               side_effect=AssertionError("split again")):
+            for c in hb.classes:
+                split = primitive_split(fr.module, {c.alpha})
+                assert split.part_module.rank > 0 and not split.diagnostics
 
     def test_fresco_shares_its_module_entry(self):
         fr = theme()

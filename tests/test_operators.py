@@ -131,6 +131,23 @@ class TestRendering:
         x = AbOperator({2: (0, 1), 3: (2,)}, P)
         assert x.render() == "b^2*a + 2*b^3"
 
+    @pytest.mark.parametrize("terms, text", [
+        ({}, "0"),
+        ({0: (1,)}, "1"),
+        ({0: (-1,)}, "-1"),
+        ({0: (0, -1)}, "-a"),
+        ({1: (-1,)}, "-b"),
+        ({3: (0, 0, 1)}, "b^3*a^2"),
+        ({3: (0, 0, F(-3, 2))}, "-3/2*b^3*a^2"),
+        ({0: (-2, 0, -1), 1: (F(1, 2),)}, "-a^2 - 2 + 1/2*b"),
+        ({0: (-2, 0, 1), 2: (F(1, 3), -1)}, "a^2 - 2 - b^2*a + 1/3*b^2"),
+    ], ids=["zero", "one", "minus_one", "minus_a", "minus_b", "unit_bqam",
+            "nonunit_bqam", "negative_first", "b_ascending_a_descending"])
+    def test_planted_forms(self, terms, text):
+        """Terms run b^q ascending, a^m descending within each q; a unit
+        coefficient is dropped before a factor and kept alone."""
+        assert AbOperator(terms, P).render() == text
+
     def test_json(self):
         x = AbOperator({0: (0, 1), 1: (F(-1, 2),)}, P)
         assert x.to_json() == [{"q": 0, "poly": ["0", "1"]},

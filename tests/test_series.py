@@ -4,9 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abmod import TruncSeries, NotAUnit, PrecisionExhausted
-from abmod.series import rat, rat_str
+from abmod.exprparse import parse_poly
+from abmod.ratpoly import pnorm, prender
+from abmod.series import rat, rat_str, render_terms
 
 
 def ts(coeffs, prec=8):
@@ -157,3 +160,34 @@ class TestSerialization:
     def test_render(self):
         assert ts([1, 1, -2]).render() == "1 + b - 2*b^2"
         assert TruncSeries.zero(4).render() == "0"
+
+
+COEFFS = st.lists(st.sampled_from(
+    [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3), F(7, 5)]),
+    max_size=8)
+FORMATS = settings(derandomize=True, database=None, deadline=None,
+                   max_examples=200)
+
+
+class TestRendering:
+    @FORMATS
+    @given(COEFFS, st.integers(0, 3), st.sampled_from(["b", "z"]))
+    def test_series_text_parses_back(self, coeffs, extra, var):
+        text = TruncSeries(coeffs, len(coeffs) + extra).render(var)
+        assert parse_poly(text, var) == pnorm(coeffs)
+
+    @FORMATS
+    @given(COEFFS)
+    def test_polynomial_text_parses_back(self, coeffs):
+        assert parse_poly(prender(coeffs, "x"), "x") == pnorm(coeffs)
+
+    def test_orders(self):
+        c = [F(-1, 2), 0, 1, -3]
+        assert TruncSeries(c, 6).render() == "-1/2 + b^2 - 3*b^3"
+        assert prender(c) == "-3*x^3 + x^2 - 1/2"
+
+    def test_terms(self):
+        assert render_terms([]) == "0"
+        assert render_terms([(-2, ["b^2"])]) == "-2*b^2"
+        assert render_terms([(-1, []), (1, ["a"]), (F(-1, 3), ["b", "a"])]) \
+            == "-1 + a - 1/3*b*a"
